@@ -217,9 +217,12 @@ def frank_sample(p: FrankParameter, count: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     u = rng.random(count)
     w = rng.random(count)
-    a = np.expm1(-t * u)
-    b = w * math.expm1(-t) / (np.exp(-t * u) - w * a)
-    v = -np.log1p(b) / t
+    # -t v = -t u + log1p(w expm1(-t (1-u))) - log1p((1-w) expm1(-t u)).
+    # Both log1p arguments stay above -1 (bar the w = 0 limit, where v = 0),
+    # so large |t| does not round v to an edge; clip only guards the last ulp.
+    upper = np.log1p(w * np.expm1(-t * (1.0 - u)))
+    lower = np.log1p((1.0 - w) * np.expm1(-t * u))
+    v = u - (upper - lower) / t
     return np.column_stack([u, np.clip(v, 0.0, 1.0)])
 
 

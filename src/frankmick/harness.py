@@ -5,8 +5,6 @@ at matched parameters and sweeps grid sizes to track the sup-norm gap.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,43 +45,28 @@ def compare_to_frank(report: SolverReport, p: FrankParameter) -> float:
     )
 
 
-def _sweep_workers() -> int:
-    cap = os.environ.get("MICK_THREADS")
-    if cap:
-        return max(1, int(cap))
-    return min(8, os.cpu_count() or 1)
-
-
 def convergence_sweep(
     tau: float, grid_sizes, cfg_template: SolverConfig
 ) -> SweepResult:
     """Solve at each grid size and measure the gap to the Frank checkerboard.
 
-    Runs fan out across a thread pool (capped by MICK_THREADS); per-grid
-    solver failures are collected in ``failures`` instead of aborting.
+    Grids are solved in order; per-grid solver failures are collected in
+    ``failures`` instead of aborting.
     """
     grid_sizes = list(grid_sizes)
     if grid_sizes != sorted(grid_sizes):
         raise ValueError("grid_sizes must be ascending")
     theta = theta_from_tau(tau).theta if tau != 0.0 else 0.0
 
-    def run(n):
-        cfg = replace(cfg_template, n=n, target_tau=tau)
-        report = solve_mick(cfg)
-        if tau == 0.0:
-            ref = uniform_checkerboard(n).masses
-            err = float(np.max(np.abs(report.state.density.masses - ref)))
-        else:
-            err = compare_to_frank(report, FrankParameter(theta))
-        return report, err
-
-    with ThreadPoolExecutor(max_workers=_sweep_workers()) as pool:
-        futures = {n: pool.submit(run, n) for n in grid_sizes}
-
     sizes, errors, reports, failures = [], [], [], {}
     for n in grid_sizes:
         try:
-            report, err = futures[n].result()
+            report = solve_mick(replace(cfg_template, n=n, target_tau=tau))
+            if tau == 0.0:
+                ref = uniform_checkerboard(n).masses
+                err = float(np.max(np.abs(report.state.density.masses - ref)))
+            else:
+                err = compare_to_frank(report, FrankParameter(theta))
         except FrankMickError as exc:
             failures[n] = f"{type(exc).__name__}: {exc}"
             continue

@@ -17,11 +17,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .copula_core import CheckerboardDensity, theta_from_tau, uniform_checkerboard
+from .copula_core import (
+    MARGINAL_TOL,
+    CheckerboardDensity,
+    theta_from_tau,
+    uniform_checkerboard,
+)
 from .concordance import _potential_from_masses, kendall_tau_checkerboard
 from .errors import (
     BracketFailure,
@@ -32,7 +37,6 @@ from .errors import (
 )
 
 _SINKHORN_CAP = 50_000
-_MARGINAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,7 @@ class SolverState:
     multiplier: float
     row_potentials: np.ndarray
     col_potentials: np.ndarray
+    inner_iterations: int = 0
 
 
 @dataclass(frozen=True)
@@ -76,33 +81,15 @@ class SolverReport:
     implied_theta: float
 
     def to_json(self, cfg: SolverConfig | None = None) -> str:
-        obj = {
-            "achieved_tau": self.achieved_tau,
-            "stationarity_residual": self.stationarity_residual,
-            "outer_iterations": self.outer_iterations,
-            "inner_iterations_total": self.inner_iterations_total,
-            "converged": self.converged,
-            "implied_theta": self.implied_theta,
-            "multiplier": self.state.multiplier,
-            "row_potentials": [float(x) for x in self.state.row_potentials],
-            "col_potentials": [float(x) for x in self.state.col_potentials],
-            "density": json.loads(
-                self.state.density.to_json(
-                    tau=self.achieved_tau, theta=self.implied_theta
-                )
-            ),
-        }
+        obj = {f: getattr(self, f) for f in _scalar_fields()}
+        obj["multiplier"] = self.state.multiplier
+        obj["row_potentials"] = [float(x) for x in self.state.row_potentials]
+        obj["col_potentials"] = [float(x) for x in self.state.col_potentials]
+        obj["density"] = json.loads(
+            self.state.density.to_json(tau=self.achieved_tau, theta=self.implied_theta)
+        )
         if cfg is not None:
-            obj["config"] = {
-                "n": cfg.n,
-                "target_tau": cfg.target_tau,
-                "tol_tau": cfg.tol_tau,
-                "tol_fix": cfg.tol_fix,
-                "max_outer": cfg.max_outer,
-                "max_inner": cfg.max_inner,
-                "damping": cfg.damping,
-                "multiplier_init": cfg.multiplier_init,
-            }
+            obj["config"] = asdict(cfg)
         return json.dumps(obj)
 
     @classmethod
@@ -115,15 +102,12 @@ class SolverReport:
             row_potentials=np.array(obj["row_potentials"]),
             col_potentials=np.array(obj["col_potentials"]),
         )
-        return cls(
-            state=state,
-            achieved_tau=obj["achieved_tau"],
-            stationarity_residual=obj["stationarity_residual"],
-            outer_iterations=obj["outer_iterations"],
-            inner_iterations_total=obj["inner_iterations_total"],
-            converged=obj["converged"],
-            implied_theta=obj["implied_theta"],
-        )
+        return cls(state, **{f: obj[f] for f in _scalar_fields()})
+
+
+def _scalar_fields():
+    """SolverReport fields stored at the top level of its JSON form."""
+    return [f.name for f in fields(SolverReport) if f.name != "state"]
 
 
 def sinkhorn_project(kernel) -> CheckerboardDensity:
@@ -148,10 +132,10 @@ def sinkhorn_project(kernel) -> CheckerboardDensity:
             np.max(np.abs(P.sum(axis=1) - target)),
             np.max(np.abs(P.sum(axis=0) - target)),
         )
-        if err <= _MARGINAL_TOL:
+        if err <= MARGINAL_TOL:
             return CheckerboardDensity(n, P)
     raise NotConverged(
-        f"Sinkhorn scaling did not reach {_MARGINAL_TOL} in {_SINKHORN_CAP} sweeps"
+        f"Sinkhorn scaling did not reach {MARGINAL_TOL} in {_SINKHORN_CAP} sweeps"
     )
 
 
@@ -169,16 +153,6 @@ def _stationarity(masses: np.ndarray, lambda_d: float):
     return _additive_fit(M)
 
 
-def _state_from_masses(masses, lambda_d) -> SolverState:
-    _, a, b, _ = _stationarity(masses, lambda_d)
-    return SolverState(
-        density=CheckerboardDensity(masses.shape[0], masses),
-        multiplier=lambda_d,
-        row_potentials=a,
-        col_potentials=b,
-    )
-
-
 def inner_fixed_point(
     state: SolverState, lambda_d: float, cfg: SolverConfig
 ) -> SolverState:
@@ -187,7 +161,9 @@ def inner_fixed_point(
     Damping mixes old and new log-kernels; since Sinkhorn is invariant
     under row/column exponential factors, the damped map has the same
     fixed points as the undamped one.  Stops when the sup-norm change and
-    the stationarity residual both fall below cfg.tol_fix.
+    the stationarity residual both fall below cfg.tol_fix, or after
+    cfg.max_inner iterations.  The returned state carries the row and
+    column potentials of its masses and the iteration count.
     """
     p = state.density.masses
     if np.any(p <= 0.0):
@@ -196,8 +172,7 @@ def inner_fixed_point(
     prev_change = math.inf
     growth_streak = 0
     iterations = 0
-    for _ in range(cfg.max_inner):
-        iterations += 1
+    for iterations in range(1, cfg.max_inner + 1):
         S = _potential_from_masses(p)
         log_kernel = (1.0 - d) * np.log(p) + d * (2.0 * lambda_d * S)
         log_kernel -= log_kernel.max()
@@ -215,23 +190,18 @@ def inner_fixed_point(
         prev_change = change
         p = q
         if change <= cfg.tol_fix:
-            _, _, _, resid = _stationarity(p, lambda_d)
+            _, a, b, resid = _stationarity(p, lambda_d)
             if resid <= cfg.tol_fix:
                 break
-    st = _state_from_masses(p, lambda_d)
-    object.__setattr__(st, "_inner_iterations", iterations)
-    return st
-
-
-def _tau_of_multiplier(lambda_d, cfg, warm=None):
-    start = warm if warm is not None else uniform_checkerboard(cfg.n)
-    state = inner_fixed_point(
-        SolverState(start, lambda_d, np.zeros(cfg.n), np.zeros(cfg.n)),
-        lambda_d,
-        cfg,
+    else:
+        _, a, b, _ = _stationarity(p, lambda_d)
+    return SolverState(
+        density=CheckerboardDensity(p.shape[0], p),
+        multiplier=lambda_d,
+        row_potentials=a,
+        col_potentials=b,
+        inner_iterations=iterations,
     )
-    tau = kendall_tau_checkerboard(state.density)
-    return tau, state, getattr(state, "_inner_iterations", 0)
 
 
 def tau_max_for_grid(n: int) -> float:
@@ -248,11 +218,11 @@ def outer_multiplier_search(cfg: SolverConfig):
     lambda_d -> tau; if no bracket can be found the failure is surfaced
     as BracketFailure with the achieved tau range.
     """
-    lam, state, *_ = _search(cfg)
-    return lam, state
+    report = _search(cfg)
+    return report.state.multiplier, report.state
 
 
-def _search(cfg: SolverConfig):
+def _search(cfg: SolverConfig) -> SolverReport:
     target = cfg.target_tau
     if cfg.multiplier_init == "auto":
         lam0 = theta_from_tau(target, 1e-10).theta / 4.0
@@ -260,18 +230,24 @@ def _search(cfg: SolverConfig):
         lam0 = float(cfg.multiplier_init)
 
     inner_total = 0
-    evals = []  # (lambda, tau, state)
+    evals = []  # (lambda, tau)
 
-    def evaluate(lam, warm):
+    def evaluate(lam, start):
         nonlocal inner_total
-        tau, state, iters = _tau_of_multiplier(lam, cfg, warm)
-        inner_total += iters
+        state = inner_fixed_point(
+            SolverState(start, lam, np.zeros(cfg.n), np.zeros(cfg.n)), lam, cfg
+        )
+        tau = kendall_tau_checkerboard(state.density)
+        inner_total += state.inner_iterations
         evals.append((lam, tau))
         return tau, state
 
-    tau0, state0 = evaluate(lam0, None)
+    def report(lam, tau, state):
+        return _assemble_report(state, lam, tau, cfg, len(evals), inner_total)
+
+    tau0, state0 = evaluate(lam0, uniform_checkerboard(cfg.n))
     if abs(tau0 - target) <= cfg.tol_tau:
-        return lam0, state0, len(evals), inner_total
+        return report(lam0, tau0, state0)
 
     # march in the needed direction until the target is straddled
     lo, tau_lo = (lam0, tau0) if tau0 < target else (None, None)
@@ -307,20 +283,17 @@ def _search(cfg: SolverConfig):
         if abs(tau - target) < best[0]:
             best = (abs(tau - target), lam, tau, state)
         if abs(tau - target) <= cfg.tol_tau:
-            return lam, state, len(evals), inner_total
+            return report(lam, tau, state)
         if tau < target:
             lo, tau_lo = lam, tau
         else:
             hi, tau_hi = lam, tau
 
     _, lam, tau, state = best
-    report = _assemble_report(
-        state, lam, tau, cfg, len(evals), inner_total
-    )
     raise NoConvergence(
         f"outer search exhausted {cfg.max_outer} evaluations "
         f"(best tau {tau} vs target {target})",
-        report=report,
+        report=report(lam, tau, state),
     )
 
 
@@ -355,6 +328,4 @@ def solve_mick(cfg: SolverConfig) -> SolverReport:
             f"|tau| = {abs(cfg.target_tau)} is not attainable on an "
             f"n = {cfg.n} grid (max {limit})"
         )
-    lam, state, outer, inner_total = _search(cfg)
-    tau = kendall_tau_checkerboard(state.density)
-    return _assemble_report(state, lam, tau, cfg, outer, inner_total)
+    return _search(cfg)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -205,6 +206,19 @@ class TestFrankSample:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             frank_sample(FrankParameter(3.0), 0, seed=0)
+
+    @pytest.mark.parametrize("theta", [40.0, 50.0])
+    def test_large_theta_off_the_edges(self, theta):
+        from scipy.stats import kendalltau
+
+        p = FrankParameter(theta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            pairs = frank_sample(p, 200_000, seed=4)
+        v = pairs[:, 1]
+        assert not np.any((v == 0.0) | (v == 1.0))
+        tau = kendalltau(pairs[:, 0], v).statistic
+        assert tau == pytest.approx(tau_from_theta(p), abs=0.01)
 
 
 class TestDebye:

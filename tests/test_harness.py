@@ -83,12 +83,11 @@ class TestConvergenceSweep:
         assert "TauInfeasible" in result.failures[2]
         assert result.grid_sizes == [16]
 
-    def test_order_independent_of_concurrency(self, sweep_0307, monkeypatch):
-        monkeypatch.setenv("MICK_THREADS", "1")
-        serial = convergence_sweep(
+    def test_repeated_sweep_identical(self, sweep_0307):
+        again = convergence_sweep(
             0.307, [4, 8, 16], SolverConfig(n=4, target_tau=0.307, tol_tau=1e-8)
         )
-        assert serial.sup_errors == sweep_0307.sup_errors
+        assert again.sup_errors == sweep_0307.sup_errors
 
 
 class TestEmitters:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -94,6 +95,16 @@ class TestInnerFixedPoint:
         cfg = SolverConfig(n=8, target_tau=0.3)
         state = inner_fixed_point(make_state(8), 1.0, cfg)
         assert np.max(np.abs(state.density.masses.sum(axis=1) - 1 / 8)) <= 1e-10
+
+    def test_iteration_count_from_uniform_at_zero_multiplier(self):
+        cfg = SolverConfig(n=6, target_tau=0.3)
+        state = inner_fixed_point(make_state(6), 0.0, cfg)
+        assert state.inner_iterations == 1
+
+    def test_iteration_count_when_capped(self):
+        cfg = SolverConfig(n=8, target_tau=0.3, max_inner=3)
+        state = inner_fixed_point(make_state(8), 1.0, cfg)
+        assert state.inner_iterations == 3
 
 
 class TestOuterSearch:
@@ -226,3 +237,22 @@ class TestSolverReportSerialization:
         assert again.achieved_tau == report.achieved_tau
         assert again.converged == report.converged
         assert again.implied_theta == report.implied_theta
+
+    def test_json_layout(self):
+        # the file `frankmick mick compare --report` reads
+        cfg = SolverConfig(n=6, target_tau=0.25)
+        obj = json.loads(solve_mick(cfg).to_json(cfg))
+        assert list(obj) == [
+            "achieved_tau",
+            "stationarity_residual",
+            "outer_iterations",
+            "inner_iterations_total",
+            "converged",
+            "implied_theta",
+            "multiplier",
+            "row_potentials",
+            "col_potentials",
+            "density",
+            "config",
+        ]
+        assert list(obj["config"]) == [f.name for f in fields(SolverConfig)]
