@@ -250,8 +250,15 @@ def debye_d1(x: float) -> float:
 
 
 def tau_from_theta(p: FrankParameter) -> float:
-    """Kendall's tau of the Frank copula: 1 - (4/theta)(1 - D1(theta))."""
+    """Kendall's tau of the Frank copula: 1 - (4/theta)(1 - D1(theta)).
+
+    That form cancels for small theta, so |theta| < 1e-2 uses the series
+    theta/9 - theta^3/900 + theta^5/52920 (next term below 1e-17 relative).
+    """
     t = p.theta
+    if abs(t) < 1e-2:
+        t2 = t * t
+        return t * (1.0 / 9.0 - t2 * (1.0 / 900.0 - t2 / 52920.0))
     return 1.0 - 4.0 / t * (1.0 - debye_d1(t))
 
 
@@ -278,15 +285,19 @@ def theta_from_tau(tau: float, tol: float = 1e-10) -> FrankParameter:
     def g(t):
         return tau_from_theta(FrankParameter(t)) - tau
 
-    lo, hi = sign * 1e-6, sign * 50.0
-    while g(lo) * g(hi) > 0.0:
+    # tau(theta) <= theta / 9 for theta > 0, so 9 tau is a lower bracket
+    lo, hi = 9.0 * tau, sign * 50.0
+    g_lo, g_hi = g(lo), g(hi)
+    while g_lo * g_hi > 0.0:
         hi *= 2.0
         if abs(hi) > _THETA_SEARCH_CAP:
             raise NonInvertible(
                 f"tau = {tau} needs |theta| beyond {_THETA_SEARCH_CAP}"
             )
+        g_hi = g(hi)
     # tau_from_theta is increasing, so order the bracket by function sign
-    if g(lo) > 0.0:
+    # (g(9 tau) is 0 to rounding for tiny tau, so either end may decide)
+    if g_lo > 0.0 or g_hi < 0.0:
         lo, hi = hi, lo
     mid = 0.5 * (lo + hi)
     for _ in range(200):

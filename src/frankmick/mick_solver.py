@@ -68,6 +68,7 @@ class SolverState:
     row_potentials: np.ndarray
     col_potentials: np.ndarray
     inner_iterations: int = 0
+    damping_cuts: int = 0
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,12 @@ def sinkhorn_project(kernel) -> CheckerboardDensity:
     """Scale a positive kernel to uniform 1/n marginals.
 
     Returns D_r . kernel . D_c; cross-ratios of the kernel are preserved
-    exactly.  Raises NotConverged for badly scaled kernels.
+    exactly.  Each sweep sets r, then c, so the columns are exact and the
+    row residual max|r * (K c) - 1/n| is read off the ``K @ c`` product the
+    next sweep needs anyway; P is built and both marginals checked only
+    once that residual is within MARGINAL_TOL.  A kernel that already
+    carries its column scaling (a warm start) therefore needs few sweeps.
+    Raises NotConverged for badly scaled kernels.
     """
     K = np.asarray(kernel, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
@@ -124,16 +130,19 @@ def sinkhorn_project(kernel) -> CheckerboardDensity:
     n = K.shape[0]
     target = 1.0 / n
     c = np.ones(n)
+    Kc = K @ c
     for _ in range(_SINKHORN_CAP):
-        r = target / (K @ c)
+        r = target / Kc
         c = target / (K.T @ r)
-        P = r[:, None] * K * c[None, :]
-        err = max(
-            np.max(np.abs(P.sum(axis=1) - target)),
-            np.max(np.abs(P.sum(axis=0) - target)),
-        )
-        if err <= MARGINAL_TOL:
-            return CheckerboardDensity(n, P)
+        Kc = K @ c
+        if np.max(np.abs(r * Kc - target)) <= MARGINAL_TOL:
+            P = r[:, None] * K * c[None, :]
+            err = max(
+                np.max(np.abs(P.sum(axis=1) - target)),
+                np.max(np.abs(P.sum(axis=0) - target)),
+            )
+            if err <= MARGINAL_TOL:
+                return CheckerboardDensity(n, P)
     raise NotConverged(
         f"Sinkhorn scaling did not reach {MARGINAL_TOL} in {_SINKHORN_CAP} sweeps"
     )
@@ -148,9 +157,10 @@ def _additive_fit(M: np.ndarray):
     return grand, a, b, float(np.max(np.abs(resid)))
 
 
-def _stationarity(masses: np.ndarray, lambda_d: float):
-    M = np.log(masses) - 2.0 * lambda_d * _potential_from_masses(masses)
-    return _additive_fit(M)
+def _stationarity(masses: np.ndarray, lambda_d: float, S=None):
+    if S is None:
+        S = _potential_from_masses(masses)
+    return _additive_fit(np.log(masses) - 2.0 * lambda_d * S)
 
 
 def inner_fixed_point(
@@ -160,10 +170,17 @@ def inner_fixed_point(
 
     Damping mixes old and new log-kernels; since Sinkhorn is invariant
     under row/column exponential factors, the damped map has the same
-    fixed points as the undamped one.  Stops when the sup-norm change and
+    fixed points as the undamped one.  The same invariance gives the warm
+    start: the column scaling beta = log q[0, :] - L[0, :] that took the
+    log-kernel L to the projected masses q is added to the next log-kernel,
+    so each projection starts from the previous one's scaling instead of
+    from scratch.  Three growths in a row of the sup-norm change halve the
+    damping (a cut), except below 10 * cfg.tol_fix, where the change is
+    Sinkhorn round-off rather than oscillation.  Stops when the change and
     the stationarity residual both fall below cfg.tol_fix, or after
     cfg.max_inner iterations.  The returned state carries the row and
-    column potentials of its masses and the iteration count.
+    column potentials of its masses, the iteration count and the number
+    of damping cuts.
     """
     p = state.density.masses
     if np.any(p <= 0.0):
@@ -171,36 +188,47 @@ def inner_fixed_point(
     d = cfg.damping
     prev_change = math.inf
     growth_streak = 0
+    cuts = 0
     iterations = 0
+    S = _potential_from_masses(p)
+    beta = np.zeros(p.shape[0])
     for iterations in range(1, cfg.max_inner + 1):
-        S = _potential_from_masses(p)
         log_kernel = (1.0 - d) * np.log(p) + d * (2.0 * lambda_d * S)
-        log_kernel -= log_kernel.max()
-        q = sinkhorn_project(np.exp(log_kernel)).masses
+        warm = log_kernel + beta
+        kernel = np.exp(warm - warm.max())
+        if not kernel.min() > 0.0:
+            raise DivergenceDetected(
+                f"kernel underflowed at multiplier {lambda_d}"
+            )
+        q = sinkhorn_project(kernel).masses
         if q.min() <= 0.0:
             raise DivergenceDetected("cell mass underflowed to zero")
+        beta = np.log(q[0]) - log_kernel[0]
         change = float(np.max(np.abs(q - p)))
-        if change > prev_change:
+        if change > prev_change and change > 10.0 * cfg.tol_fix:
             growth_streak += 1
             if growth_streak >= 3 and d > 0.05:
                 d = max(0.05, d / 2.0)  # oscillation: damp harder
                 growth_streak = 0
+                cuts += 1
         else:
             growth_streak = 0
         prev_change = change
         p = q
+        S = _potential_from_masses(p)
         if change <= cfg.tol_fix:
-            _, a, b, resid = _stationarity(p, lambda_d)
+            _, a, b, resid = _stationarity(p, lambda_d, S)
             if resid <= cfg.tol_fix:
                 break
     else:
-        _, a, b, _ = _stationarity(p, lambda_d)
+        _, a, b, _ = _stationarity(p, lambda_d, S)
     return SolverState(
         density=CheckerboardDensity(p.shape[0], p),
         multiplier=lambda_d,
         row_potentials=a,
         col_potentials=b,
         inner_iterations=iterations,
+        damping_cuts=cuts,
     )
 
 

@@ -6,6 +6,7 @@ gradient optimizer.  None of it shares code paths with the library
 routines it checks.
 """
 
+import mpmath
 import numpy as np
 
 from frankmick.concordance import _potential_from_masses
@@ -96,6 +97,33 @@ def sample_checkerboard(masses: np.ndarray, count: int, seed: int):
     u = (i + rng.random(count)) / n
     v = (j + rng.random(count)) / n
     return u, v
+
+
+def frank_tau_mp(theta, dps=50):
+    """Kendall's tau of the Frank copula in mpmath, through the dilogarithm.
+
+    int_0^x t/(e^t - 1) dt = pi^2/6 + x log(1 - e^-x) - Li2(e^-x), and tau
+    is odd in theta.
+    """
+    with mpmath.workdps(dps):
+        x = abs(mpmath.mpf(theta))
+        z = mpmath.exp(-x)
+        integral = mpmath.pi**2 / 6 + x * mpmath.log1p(-z) - mpmath.polylog(2, z)
+        tau = 1 - 4 / x * (1 - integral / x)
+        return float(mpmath.sign(theta) * tau)
+
+
+def frank_theta_mp(tau, dps=50):
+    """Frank theta of a tau in (0, 1): root of frank_tau_mp near 9 tau."""
+    with mpmath.workdps(dps):
+        x0 = mpmath.mpf(9) * mpmath.mpf(tau)
+
+        def f(t):
+            z = mpmath.exp(-t)
+            integral = mpmath.pi**2 / 6 + t * mpmath.log1p(-z) - mpmath.polylog(2, z)
+            return 1 - 4 / t * (1 - integral / t) - mpmath.mpf(tau)
+
+        return float(mpmath.findroot(f, x0))
 
 
 def random_checkerboard(rng, n) -> np.ndarray:

@@ -23,7 +23,7 @@ from frankmick import (
 )
 from frankmick.errors import NonInvertible, ZeroTau
 
-from _oracles import gauss_legendre_2d
+from _oracles import frank_tau_mp, frank_theta_mp, gauss_legendre_2d
 
 THETAS = [-10.0, -3.0, -0.5, 0.5, 3.0, 10.0]
 
@@ -286,6 +286,29 @@ class TestTauTheta:
             theta_from_tau(-1.5)
         with pytest.raises(ValueError):
             theta_from_tau(0.3, tol=0.0)
+
+
+
+class TestTauThetaSmall:
+    """The bridge near independence, against 50-digit mpmath."""
+
+    @pytest.mark.parametrize(
+        "theta, rel",
+        # the series serves |theta| < 1e-2; the closed form takes over at 1e-2
+        [(1e-8, 1e-15), (-1e-8, 1e-15), (1e-4, 1e-15), (1e-2, 1e-10)],
+    )
+    def test_tau_matches_mpmath(self, theta, rel):
+        ref = frank_tau_mp(theta)
+        assert tau_from_theta(FrankParameter(theta)) == pytest.approx(ref, rel=rel)
+
+    @pytest.mark.parametrize("tau", [1e-9, 1e-7, 1e-5])
+    def test_theta_from_small_tau(self, tau):
+        for signed in (tau, -tau):
+            p = theta_from_tau(signed)
+            assert abs(tau_from_theta(p) - signed) <= 1e-10
+            assert abs(frank_tau_mp(p.theta) - signed) <= 1e-10
+        tight = theta_from_tau(tau, tol=1e-8 * tau)
+        assert tight.theta == pytest.approx(frank_theta_mp(tau), rel=1e-7)
 
 
 class TestCheckerboard:

@@ -1,5 +1,6 @@
 import json
 from dataclasses import fields
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from frankmick import (
     uniform_checkerboard,
 )
 from frankmick.concordance import _potential_from_masses
-from frankmick.errors import NoConvergence, TauInfeasible
+from frankmick import mick_solver
+from frankmick.errors import DivergenceDetected, NoConvergence, TauInfeasible
 
 from _oracles import projected_gradient_mick, random_feasible_with_tau
 
@@ -256,3 +258,87 @@ class TestSolverReportSerialization:
             "config",
         ]
         assert list(obj["config"]) == [f.name for f in fields(SolverConfig)]
+
+
+class TestSinkhornIllConditioned:
+    def test_marginals_and_cross_ratios(self):
+        rng = np.random.default_rng(7)
+        K = np.exp(3.0 * rng.standard_normal((128, 128)))
+        P = sinkhorn_project(K).masses
+        assert np.max(np.abs(P.sum(axis=0) - 1 / 128)) <= 1e-10
+        assert np.max(np.abs(P.sum(axis=1) - 1 / 128)) <= 1e-10
+        for _ in range(200):
+            i, k, j, l = rng.integers(0, 128, 4)
+            got = P[i, j] * P[k, l] / (P[i, l] * P[k, j])
+            want = K[i, j] * K[k, l] / (K[i, l] * K[k, j])
+            assert got == pytest.approx(want, rel=1e-10)
+
+
+class TestInnerStepWork:
+    def count_calls(self, monkeypatch, name):
+        calls = []
+        original = getattr(mick_solver, name)
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(mick_solver, name, counted)
+        return calls
+
+    def test_one_projection_per_step(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, "sinkhorn_project")
+        state = inner_fixed_point(make_state(8), 1.0, SolverConfig(n=8, target_tau=0.3))
+        assert len(calls) == state.inner_iterations
+
+    def test_one_potential_per_iterate(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, "_potential_from_masses")
+        state = inner_fixed_point(make_state(8), 1.0, SolverConfig(n=8, target_tau=0.3))
+        assert len(calls) == state.inner_iterations + 1
+
+    def test_kernel_underflow_is_typed(self):
+        with pytest.raises(DivergenceDetected):
+            inner_fixed_point(make_state(4), 1000.0, SolverConfig(n=4, target_tau=0.3))
+
+    def test_damping_cuts_counted(self):
+        # tol_fix far below Sinkhorn's round-off keeps the change jittering
+        # above 10 * tol_fix, so the growth rule halves d down to 0.05
+        cfg = SolverConfig(n=16, target_tau=0.3, tol_fix=1e-13, max_inner=300)
+        state = inner_fixed_point(make_state(16), 14.0, cfg)
+        assert 1 <= state.damping_cuts <= 4
+
+
+@lru_cache(maxsize=None)
+def high_tau_solve(n, tau):
+    """The report, and the damping cuts of every inner solve behind it."""
+    cuts = []
+    original = mick_solver.inner_fixed_point
+
+    def recorded(*args):
+        state = original(*args)
+        cuts.append(state.damping_cuts)
+        return state
+
+    mick_solver.inner_fixed_point = recorded
+    try:
+        report = solve_mick(SolverConfig(n=n, target_tau=tau))
+    finally:
+        mick_solver.inner_fixed_point = original
+    return report, cuts
+
+
+class TestHighTau:
+    # implied theta of the cold-started solver these solves are checked against
+    REFERENCE = {(16, 0.9): 56.490108843171036, (32, 0.95): 115.60214537784884}
+
+    @pytest.mark.parametrize("n, tau", sorted(REFERENCE))
+    def test_converged_near_reference_theta(self, n, tau):
+        report, _ = high_tau_solve(n, tau)
+        assert report.converged
+        assert abs(report.implied_theta - self.REFERENCE[(n, tau)]) <= 1e-6
+
+    @pytest.mark.parametrize("n, tau", sorted(REFERENCE))
+    def test_no_damping_cuts(self, n, tau):
+        report, cuts = high_tau_solve(n, tau)
+        assert len(cuts) == report.outer_iterations
+        assert report.state.damping_cuts == 0 and not any(cuts)
