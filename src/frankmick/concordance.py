@@ -26,33 +26,27 @@ class ConcordancePotential:
 
 
 def _potential_from_masses(m: np.ndarray) -> np.ndarray:
-    """O(n^2) assembly of S via a single 2-D prefix-sum pass.
+    """O(n^2) assembly of S as two signed prefix passes, one per axis.
 
-    With A the padded inclusive prefix sum (A[i, j] = mass of cells
-    (<=i, <=j), 1-based), the four quadrant sums around cell (i, j)
-    (sgn(0) = 0 zeroes out its own row/column band) combine to
+    S_ij = sum_k sgn(i-k) sum_l sgn(j-l) mass_kl factors into one signed
+    sum along each axis.  Along an axis with inclusive cumsum C and total
+    T, C_i - x_i is the sum over k < i and T - C_i the sum over k > i
+    (sgn(0) = 0 drops k = i), so
 
-        S_ij =  A[i-1,j-1]                              (k<i, l<j)
-              + T - A[i,n] - A[n,j] + A[i,j]            (k>i, l>j)
-              - (A[i-1,n] - A[i-1,j])                   (k<i, l>j)
-              - (A[n,j-1] - A[i,j-1])                   (k>i, l<j)
+        sum_k sgn(i-k) x_k = 2 C_i - x_i - T.
 
-    with T the total mass.  No marginal assumption is made, so the result
-    matches the O(n^4) brute force on arbitrary mass matrices; it is also
-    the half-gradient of the tau functional.
+    No marginal assumption is made, so the result matches the O(n^4)
+    brute force on arbitrary mass matrices; it is also the half-gradient
+    of the tau functional.
     """
-    n = m.shape[0]
-    A = np.zeros((n + 1, n + 1))
-    A[1:, 1:] = m.cumsum(axis=0).cumsum(axis=1)
-    T = A[n, n]
-    row = A[:, n]  # A[i, n]
-    col = A[n, :]  # A[n, j]
-    S = (
-        A[:-1, :-1]
-        + T - row[1:, None] - col[None, 1:] + A[1:, 1:]
-        - (row[:-1, None] - A[:-1, 1:])
-        - (col[None, :-1] - A[1:, :-1])
-    )
+    S = m
+    for axis in (0, 1):
+        C = S.cumsum(axis=axis)
+        T = C.take([-1], axis=axis)
+        C *= 2.0
+        C -= S
+        C -= T
+        S = C
     return S
 
 

@@ -5,12 +5,12 @@ and prescribed tau.  The stationarity condition
 
     log p_ij = const + alpha_i + beta_j + 2 * lambda_d * S_ij(p)
 
-(S the concordance potential) is solved by a damped self-consistent
-iteration whose marginal constraints are enforced by Sinkhorn scaling; an
-outer secant/bisection search adjusts the multiplier lambda_d until the
-achieved tau matches the target.  The continuum analog of the multiplier
-maps to a Frank parameter via theta = 4 * lambda_d, which the report
-exposes as ``implied_theta``.
+(S the concordance potential) is solved by an Anderson-accelerated damped
+self-consistent iteration whose marginal constraints are enforced by
+Sinkhorn scaling; an outer secant/bisection search adjusts the multiplier
+lambda_d until the achieved tau matches the target.  The continuum analog
+of the multiplier maps to a Frank parameter via theta = 4 * lambda_d,
+which the report exposes as ``implied_theta``.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ from .errors import (
 )
 
 _SINKHORN_CAP = 50_000
+_ANDERSON_MEMORY = 3  # difference pairs kept by inner_fixed_point
+_ANDERSON_RIDGE = 1e-12  # ridge on its normal equations, relative to their trace
 
 
 @dataclass(frozen=True)
@@ -135,7 +137,7 @@ def sinkhorn_project(kernel) -> CheckerboardDensity:
         r = target / Kc
         c = target / (K.T @ r)
         Kc = K @ c
-        if np.max(np.abs(r * Kc - target)) <= MARGINAL_TOL:
+        if np.abs(r * Kc - target).max() <= MARGINAL_TOL:
             P = r[:, None] * K * c[None, :]
             err = max(
                 np.max(np.abs(P.sum(axis=1) - target)),
@@ -157,30 +159,54 @@ def _additive_fit(M: np.ndarray):
     return grand, a, b, float(np.max(np.abs(resid)))
 
 
-def _stationarity(masses: np.ndarray, lambda_d: float, S=None):
-    if S is None:
-        S = _potential_from_masses(masses)
-    return _additive_fit(np.log(masses) - 2.0 * lambda_d * S)
+def _stationarity(log_masses: np.ndarray, lambda_d: float, S: np.ndarray):
+    return _additive_fit(log_masses - 2.0 * lambda_d * S)
+
+
+def _center(M: np.ndarray) -> np.ndarray:
+    """M without its row and column means: the gauge Sinkhorn ignores."""
+    M = M - M.mean(axis=1, keepdims=True)
+    return M - M.mean(axis=0)
+
+
+def _anderson_step(G, F, dG, dF):
+    """Type-II Anderson update: G minus the combination of the differences
+    dG whose residual differences dF best cancel the residual F."""
+    if not dF:
+        return G
+    A = np.array([[u.ravel() @ v.ravel() for v in dF] for u in dF])
+    scale = A.trace()
+    if not scale > 0.0:
+        return G
+    A[np.diag_indices_from(A)] += _ANDERSON_RIDGE * scale
+    gamma = np.linalg.solve(A, [u.ravel() @ F.ravel() for u in dF])
+    for g, dg in zip(gamma, dG):
+        G = G - g * dg
+    return G
 
 
 def inner_fixed_point(
     state: SolverState, lambda_d: float, cfg: SolverConfig
 ) -> SolverState:
-    """Damped self-consistent iteration p <- Sinkhorn(exp(2 lambda_d S(p))).
+    """Damped iteration p <- Sinkhorn(exp(2 lambda_d S(p))), Anderson-accelerated.
 
-    Damping mixes old and new log-kernels; since Sinkhorn is invariant
-    under row/column exponential factors, the damped map has the same
-    fixed points as the undamped one.  The same invariance gives the warm
-    start: the column scaling beta = log q[0, :] - L[0, :] that took the
-    log-kernel L to the projected masses q is added to the next log-kernel,
-    so each projection starts from the previous one's scaling instead of
-    from scratch.  Three growths in a row of the sup-norm change halve the
-    damping (a cut), except below 10 * cfg.tol_fix, where the change is
-    Sinkhorn round-off rather than oscillation.  Stops when the change and
-    the stationarity residual both fall below cfg.tol_fix, or after
-    cfg.max_inner iterations.  The returned state carries the row and
-    column potentials of its masses, the iteration count and the number
-    of damping cuts.
+    The iterate is the gauge-fixed log-kernel L (row and column means
+    removed); since Sinkhorn is invariant under row/column exponential
+    factors this leaves the fixed points unchanged.  One step projects
+    q = Sinkhorn(exp(L + beta)) and forms the damped map
+    G(L) = center((1 - d) log q + d * 2 lambda_d S(q)); the next L is G(L)
+    minus the least-squares combination of the last _ANDERSON_MEMORY
+    differences of G and of the residual G(L) - L (type-II Anderson,
+    Walker & Ni 2011).  The first L is the damped log-kernel of the
+    starting masses.  beta = log q[0, :] - L[0, :] is the column scaling
+    that took L to q; adding it to the next L warm-starts the projection.
+    Three growths in a row of the sup-norm change of q halve the damping
+    (a cut) and clear the Anderson history, except below 10 * cfg.tol_fix,
+    where the change is Sinkhorn round-off rather than oscillation.  Stops
+    when the change and the stationarity residual of q both fall below
+    cfg.tol_fix, or after cfg.max_inner iterations.  The returned state
+    carries the row and column potentials of its masses, the iteration
+    count and the number of damping cuts.
     """
     p = state.density.masses
     if np.any(p <= 0.0):
@@ -190,11 +216,14 @@ def inner_fixed_point(
     growth_streak = 0
     cuts = 0
     iterations = 0
+    log_p = np.log(p)
     S = _potential_from_masses(p)
+    L = (1.0 - d) * log_p + d * (2.0 * lambda_d * S)
     beta = np.zeros(p.shape[0])
+    dG, dF = [], []  # the last differences of G(L) and of G(L) - L
+    G_prev = F_prev = None
     for iterations in range(1, cfg.max_inner + 1):
-        log_kernel = (1.0 - d) * np.log(p) + d * (2.0 * lambda_d * S)
-        warm = log_kernel + beta
+        warm = L + beta
         kernel = np.exp(warm - warm.max())
         if not kernel.min() > 0.0:
             raise DivergenceDetected(
@@ -203,7 +232,8 @@ def inner_fixed_point(
         q = sinkhorn_project(kernel).masses
         if q.min() <= 0.0:
             raise DivergenceDetected("cell mass underflowed to zero")
-        beta = np.log(q[0]) - log_kernel[0]
+        log_q = np.log(q)
+        beta = log_q[0] - L[0]
         change = float(np.max(np.abs(q - p)))
         if change > prev_change and change > 10.0 * cfg.tol_fix:
             growth_streak += 1
@@ -211,17 +241,28 @@ def inner_fixed_point(
                 d = max(0.05, d / 2.0)  # oscillation: damp harder
                 growth_streak = 0
                 cuts += 1
+                dG, dF = [], []  # differences taken under the old d
+                G_prev = None
         else:
             growth_streak = 0
         prev_change = change
-        p = q
+        p, log_p = q, log_q
         S = _potential_from_masses(p)
         if change <= cfg.tol_fix:
-            _, a, b, resid = _stationarity(p, lambda_d, S)
+            _, a, b, resid = _stationarity(log_p, lambda_d, S)
             if resid <= cfg.tol_fix:
                 break
+        G = _center((1.0 - d) * log_p + d * (2.0 * lambda_d * S))
+        F = G - L
+        if G_prev is not None:
+            dG.append(G - G_prev)
+            dF.append(F - F_prev)
+            if len(dG) > _ANDERSON_MEMORY:
+                del dG[0], dF[0]
+        G_prev, F_prev = G, F
+        L = _anderson_step(G, F, dG, dF)
     else:
-        _, a, b, _ = _stationarity(p, lambda_d, S)
+        _, a, b, _ = _stationarity(log_p, lambda_d, S)
     return SolverState(
         density=CheckerboardDensity(p.shape[0], p),
         multiplier=lambda_d,
@@ -326,7 +367,8 @@ def _search(cfg: SolverConfig) -> SolverReport:
 
 
 def _assemble_report(state, lam, tau, cfg, outer, inner_total) -> SolverReport:
-    _, _, _, resid = _stationarity(state.density.masses, lam)
+    m = state.density.masses
+    _, _, _, resid = _stationarity(np.log(m), lam, _potential_from_masses(m))
     converged = abs(tau - cfg.target_tau) <= cfg.tol_tau and resid <= cfg.tol_fix
     return SolverReport(
         state=state,

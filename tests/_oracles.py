@@ -87,6 +87,23 @@ def projected_gradient_mick(n, target, mu=50.0, outers=100, inners=5000,
     return p
 
 
+def damped_fixed_point(n, lambda_d, damping=0.5, tol=1e-13, max_steps=5000):
+    """Plain damped iteration p <- Sinkhorn(exp((1-d) log p + d 2 lambda_d S(p)))
+    from uniform masses, with a cold projection each step, until the
+    sup-norm change is at most tol; no acceleration, gauge or warm start."""
+    p = np.full((n, n), 1.0 / (n * n))
+    for _ in range(max_steps):
+        log_kernel = (1.0 - damping) * np.log(p) + damping * (
+            2.0 * lambda_d * _potential_from_masses(p)
+        )
+        q = sinkhorn_project(np.exp(log_kernel - log_kernel.max())).masses
+        change = np.max(np.abs(q - p))
+        p = q
+        if change <= tol:
+            return p
+    raise RuntimeError(f"damped iteration did not reach {tol}")
+
+
 def sample_checkerboard(masses: np.ndarray, count: int, seed: int):
     """Draw (u, v) pairs from a checkerboard density: pick a cell by mass,
     then uniform within the cell."""

@@ -16,13 +16,18 @@ from frankmick import (
     sinkhorn_project,
     solve_mick,
     tau_max_for_grid,
+    theta_from_tau,
     uniform_checkerboard,
 )
 from frankmick.concordance import _potential_from_masses
 from frankmick import mick_solver
 from frankmick.errors import DivergenceDetected, NoConvergence, TauInfeasible
 
-from _oracles import projected_gradient_mick, random_feasible_with_tau
+from _oracles import (
+    damped_fixed_point,
+    projected_gradient_mick,
+    random_feasible_with_tau,
+)
 
 
 def make_state(n, lam=0.0):
@@ -107,6 +112,20 @@ class TestInnerFixedPoint:
         cfg = SolverConfig(n=8, target_tau=0.3, max_inner=3)
         state = inner_fixed_point(make_state(8), 1.0, cfg)
         assert state.inner_iterations == 3
+
+    def test_accelerated_steps_at_matched_multiplier(self):
+        # the plain damped iteration needs 36 steps here
+        lam = theta_from_tau(0.307, 1e-10).theta / 4.0
+        cfg = SolverConfig(n=64, target_tau=0.307)
+        state = inner_fixed_point(make_state(64), lam, cfg)
+        assert state.inner_iterations <= 20
+
+    @pytest.mark.parametrize("n, lam", [(64, 0.75), (16, 14.12)])
+    def test_matches_damped_reference(self, n, lam):
+        cfg = SolverConfig(n=n, target_tau=0.3)
+        state = inner_fixed_point(make_state(n), lam, cfg)
+        reference = damped_fixed_point(n, lam)
+        assert np.max(np.abs(state.density.masses - reference)) <= 1e-9
 
 
 class TestOuterSearch:
