@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import NonInvertible, ZeroTau
+from .errors import NonInvertible, ThetaOutOfSupport, ZeroTau
 
 #: largest |theta| the closed-form evaluators accept.
 THETA_SUPPORT = 50.0
@@ -43,7 +43,7 @@ class FrankParameter:
 
 def _check_support(p: FrankParameter):
     if abs(p.theta) > THETA_SUPPORT:
-        raise ValueError(
+        raise ThetaOutOfSupport(
             f"|theta| <= {THETA_SUPPORT} is the supported range for "
             f"closed-form evaluation, got {p.theta}"
         )

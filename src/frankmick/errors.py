@@ -17,6 +17,10 @@ class NonPositiveDensity(FrankMickError):
     """A log-density stencil hit a nonpositive density value."""
 
 
+class ThetaOutOfSupport(FrankMickError, ValueError):
+    """|theta| is beyond the range the closed-form evaluators support."""
+
+
 class GridMismatch(FrankMickError):
     """Two checkerboard objects with different grid sizes were combined."""
 

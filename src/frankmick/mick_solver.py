@@ -7,10 +7,10 @@ and prescribed tau.  The stationarity condition
 
 (S the concordance potential) is solved by an Anderson-accelerated damped
 self-consistent iteration whose marginal constraints are enforced by
-Sinkhorn scaling; an outer secant/bisection search adjusts the multiplier
-lambda_d until the achieved tau matches the target.  The continuum analog
-of the multiplier maps to a Frank parameter via theta = 4 * lambda_d,
-which the report exposes as ``implied_theta``.
+Sinkhorn scaling; an outer safeguarded secant search, seeded by the Frank
+bridge, adjusts the multiplier lambda_d until the achieved tau matches the
+target.  The continuum analog of the multiplier maps to a Frank parameter
+via theta = 4 * lambda_d, which the report exposes as ``implied_theta``.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ import numpy as np
 from .copula_core import (
     MARGINAL_TOL,
     CheckerboardDensity,
+    FrankParameter,
+    tau_from_theta,
     theta_from_tau,
     uniform_checkerboard,
 )
@@ -61,6 +63,9 @@ class SolverConfig:
             raise ValueError("tolerances must be strictly positive")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
+        if self.multiplier_init != "auto":
+            if not math.isfinite(float(self.multiplier_init)):
+                raise ValueError("multiplier_init must be 'auto' or finite")
 
 
 @dataclass(frozen=True)
@@ -283,9 +288,14 @@ def tau_max_for_grid(n: int) -> float:
 def outer_multiplier_search(cfg: SolverConfig):
     """Find lambda_d whose fixed-point tau hits cfg.target_tau.
 
-    Returns (lambda_d, state).  Relies on the empirically monotone map
-    lambda_d -> tau; if no bracket can be found the failure is surfaced
-    as BracketFailure with the achieved tau range.
+    Returns (lambda_d, state).  Starts at lambda_0 = theta(tau) / 4 and
+    steps along the Frank bridge's slope dtau/dlambda = 4 tau'(4 lambda_0),
+    then by secants through the last two evaluations, each step capped at
+    max(0.25, |lambda| / 2); once the target is bracketed, a guess outside
+    the bracket becomes its midpoint, and a non-positive slope falls back
+    to a capped step toward the target.  Running past |lambda| = 200
+    unbracketed raises BracketFailure with the achieved tau range; using
+    up cfg.max_outer evaluations raises NoConvergence with the best report.
     """
     report = _search(cfg)
     return report.state.multiplier, report.state
@@ -294,9 +304,9 @@ def outer_multiplier_search(cfg: SolverConfig):
 def _search(cfg: SolverConfig) -> SolverReport:
     target = cfg.target_tau
     if cfg.multiplier_init == "auto":
-        lam0 = theta_from_tau(target, 1e-10).theta / 4.0
+        lam = theta_from_tau(target, 1e-10).theta / 4.0
     else:
-        lam0 = float(cfg.multiplier_init)
+        lam = float(cfg.multiplier_init)
 
     inner_total = 0
     evals = []  # (lambda, tau)
@@ -314,56 +324,46 @@ def _search(cfg: SolverConfig) -> SolverReport:
     def report(lam, tau, state):
         return _assemble_report(state, lam, tau, cfg, len(evals), inner_total)
 
-    tau0, state0 = evaluate(lam0, uniform_checkerboard(cfg.n))
-    if abs(tau0 - target) <= cfg.tol_tau:
-        return report(lam0, tau0, state0)
+    def bridge_tau(theta):
+        return tau_from_theta(FrankParameter(theta)) if theta else 0.0
 
-    # march in the needed direction until the target is straddled
-    lo, tau_lo = (lam0, tau0) if tau0 < target else (None, None)
-    hi, tau_hi = (lam0, tau0) if tau0 > target else (None, None)
-    lam, tau, state = lam0, tau0, state0
-    step = max(0.25, 0.5 * abs(lam0))
-    while lo is None or hi is None:
-        if len(evals) >= cfg.max_outer or abs(lam) > 200.0:
+    # first slope dtau/dlambda: the Frank bridge's, by central difference
+    theta = 4.0 * lam
+    h = 1e-4 * max(1.0, abs(theta))
+    slope = 4.0 * (bridge_tau(theta + h) - bridge_tau(theta - h)) / (2.0 * h)
+    tau, state = evaluate(lam, uniform_checkerboard(cfg.n))
+    best = (abs(tau - target), lam, tau, state)
+    lo = hi = None  # multipliers whose tau fell below / above the target
+    while abs(tau - target) > cfg.tol_tau:
+        if tau < target:
+            lo = lam
+        else:
+            hi = lam
+        if None in (lo, hi) and abs(lam) > 200.0:
             taus = [t for _, t in evals]
             raise BracketFailure(
                 f"could not bracket tau = {target}",
                 tau_range=(min(taus), max(taus)),
             )
-        lam = lam + step if tau < target else lam - step
-        step *= 2.0
-        tau, state = evaluate(lam, state.density)
-        if tau < target:
-            lo, tau_lo = lam, tau
-        else:
-            hi, tau_hi = lam, tau
-
-    best = (abs(tau - target), lam, tau, state)
-    while len(evals) < cfg.max_outer:
-        # secant guess, safeguarded by the bracket midpoint
-        if tau_hi != tau_lo:
-            lam = lo + (target - tau_lo) * (hi - lo) / (tau_hi - tau_lo)
-        else:
-            lam = 0.5 * (lo + hi)
-        width = hi - lo
-        if not (lo + 0.01 * width < lam < hi - 0.01 * width):
+        if len(evals) >= cfg.max_outer:
+            _, lam, tau, state = best
+            raise NoConvergence(
+                f"outer search exhausted {cfg.max_outer} evaluations "
+                f"(best tau {tau} vs target {target})",
+                report=report(lam, tau, state),
+            )
+        if len(evals) > 1 and evals[-2][0] != lam:
+            slope = (tau - evals[-2][1]) / (lam - evals[-2][0])
+        # secant step, capped so a poor start still grows geometrically
+        cap = max(0.25, 0.5 * abs(lam))
+        step = (target - tau) / slope if slope > 0.0 else math.inf
+        lam += math.copysign(min(abs(step), cap), target - tau)
+        if None not in (lo, hi) and not min(lo, hi) < lam < max(lo, hi):
             lam = 0.5 * (lo + hi)
         tau, state = evaluate(lam, state.density)
         if abs(tau - target) < best[0]:
             best = (abs(tau - target), lam, tau, state)
-        if abs(tau - target) <= cfg.tol_tau:
-            return report(lam, tau, state)
-        if tau < target:
-            lo, tau_lo = lam, tau
-        else:
-            hi, tau_hi = lam, tau
-
-    _, lam, tau, state = best
-    raise NoConvergence(
-        f"outer search exhausted {cfg.max_outer} evaluations "
-        f"(best tau {tau} vs target {target})",
-        report=report(lam, tau, state),
-    )
+    return report(lam, tau, state)
 
 
 def _assemble_report(state, lam, tau, cfg, outer, inner_total) -> SolverReport:

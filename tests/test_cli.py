@@ -111,6 +111,18 @@ class TestMickCommands:
         assert errs[0] > errs[1] > errs[2]
         assert svg_path.read_text().startswith("<svg")
 
+    def test_sweep_above_theta_support_writes_csv(self, capsys, tmp_path):
+        csv_path = tmp_path / "sweep.csv"
+        code, _, err = run(
+            capsys, "mick", "sweep", "--tau", "0.93", "--grids", "8,16",
+            "--out", str(csv_path),
+        )
+        assert code == 1
+        header = "n,sup_error,achieved_tau,implied_theta,converged\n"
+        assert csv_path.read_text() == header
+        assert "n=8 failed: TauInfeasible" in err
+        assert "n=16 failed: ThetaOutOfSupport" in err
+
 
 class TestVerifyCommands:
     def test_identity(self, capsys):

@@ -21,7 +21,7 @@ from frankmick import (
     theta_from_tau,
     uniform_checkerboard,
 )
-from frankmick.errors import NonInvertible, ZeroTau
+from frankmick.errors import FrankMickError, NonInvertible, ThetaOutOfSupport, ZeroTau
 
 from _oracles import frank_tau_mp, frank_theta_mp, gauss_legendre_2d
 
@@ -47,6 +47,13 @@ class TestFrankParameter:
             frank_cdf(p, 0.5, 0.5)
         with pytest.raises(ValueError):
             frank_density(p, 0.5, 0.5)
+
+    def test_extreme_theta_error_is_typed(self):
+        p = FrankParameter(60.0)
+        with pytest.raises(ThetaOutOfSupport) as err:
+            frank_checkerboard(p, 4)
+        assert isinstance(err.value, FrankMickError)
+        assert isinstance(err.value, ValueError)
 
 
 class TestFrankCdf:

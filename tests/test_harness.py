@@ -11,6 +11,7 @@ from frankmick import (
     sweep_to_csv,
     sweep_to_svg,
 )
+from frankmick.copula_core import THETA_SUPPORT
 from frankmick.errors import GridMismatch
 
 
@@ -82,6 +83,15 @@ class TestConvergenceSweep:
         assert 2 in result.failures
         assert "TauInfeasible" in result.failures[2]
         assert result.grid_sizes == [16]
+
+    def test_theta_out_of_support_flagged_not_raised(self):
+        # theta(0.93) > THETA_SUPPORT: n = 8 cannot reach the tau, n = 16
+        # solves but has no closed-form Frank checkerboard to compare with
+        result = convergence_sweep(0.93, [8, 16], SolverConfig(n=8, target_tau=0.93))
+        assert result.theta > THETA_SUPPORT
+        assert result.grid_sizes == []
+        assert "TauInfeasible" in result.failures[8]
+        assert "ThetaOutOfSupport" in result.failures[16]
 
     def test_repeated_sweep_identical(self, sweep_0307):
         again = convergence_sweep(

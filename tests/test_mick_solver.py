@@ -148,6 +148,26 @@ class TestOuterSearch:
             taus.append(kendall_tau_checkerboard(state.density))
         assert np.all(np.diff(taus) > 0.0)
 
+    def test_bridge_start_needs_few_evaluations(self):
+        report = solve_mick(SolverConfig(n=64, target_tau=0.307))
+        assert report.converged and report.outer_iterations <= 3
+
+    def test_tight_tau_tolerance_converges(self):
+        cfg = SolverConfig(n=256, target_tau=0.307, tol_tau=1e-11)
+        report = solve_mick(cfg)
+        assert report.converged
+        assert abs(report.achieved_tau - 0.307) <= 1e-11
+
+    def test_exhausted_before_bracket_is_no_convergence(self):
+        # from lambda = 0 the capped first step stays below the target
+        cfg = SolverConfig(n=8, target_tau=0.307, max_outer=2, multiplier_init=0.0)
+        with pytest.raises(NoConvergence) as err:
+            solve_mick(cfg)
+        report = err.value.report
+        assert report is not None and not report.converged
+        assert report.outer_iterations == 2
+        assert 0.0 < report.achieved_tau < 0.307
+
 
 class TestSolveMick:
     def test_zero_tau_is_uniform(self):
@@ -242,6 +262,11 @@ class TestSolveMick:
         with pytest.raises(ValueError):
             SolverConfig(n=4, target_tau=0.3, tol_tau=-1.0)
 
+    def test_nonfinite_multiplier_init_rejected(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                SolverConfig(n=4, target_tau=0.3, multiplier_init=bad)
+
 
 class TestSolverReportSerialization:
     def test_json_round_trip(self):
@@ -328,7 +353,7 @@ class TestInnerStepWork:
 
 
 @lru_cache(maxsize=None)
-def high_tau_solve(n, tau):
+def high_tau_solve(n, tau, tol_tau=1e-6):
     """The report, and the damping cuts of every inner solve behind it."""
     cuts = []
     original = mick_solver.inner_fixed_point
@@ -340,19 +365,21 @@ def high_tau_solve(n, tau):
 
     mick_solver.inner_fixed_point = recorded
     try:
-        report = solve_mick(SolverConfig(n=n, target_tau=tau))
+        report = solve_mick(SolverConfig(n=n, target_tau=tau, tol_tau=tol_tau))
     finally:
         mick_solver.inner_fixed_point = original
     return report, cuts
 
 
 class TestHighTau:
-    # implied theta of the cold-started solver these solves are checked against
-    REFERENCE = {(16, 0.9): 56.490108843171036, (32, 0.95): 115.60214537784884}
+    # implied theta at the roots: solves at tol_tau = 1e-10 give 56.490089363
+    # and 115.602105378 by march-then-bracket, 56.490089360 and 115.602105355
+    # by the bridge-seeded secant
+    REFERENCE = {(16, 0.9): 56.49008936, (32, 0.95): 115.60210536}
 
     @pytest.mark.parametrize("n, tau", sorted(REFERENCE))
     def test_converged_near_reference_theta(self, n, tau):
-        report, _ = high_tau_solve(n, tau)
+        report, _ = high_tau_solve(n, tau, 1e-10)
         assert report.converged
         assert abs(report.implied_theta - self.REFERENCE[(n, tau)]) <= 1e-6
 
@@ -361,3 +388,7 @@ class TestHighTau:
         report, cuts = high_tau_solve(n, tau)
         assert len(cuts) == report.outer_iterations
         assert report.state.damping_cuts == 0 and not any(cuts)
+
+    def test_few_outer_evaluations(self):
+        report, _ = high_tau_solve(16, 0.9)
+        assert report.converged and report.outer_iterations <= 8
