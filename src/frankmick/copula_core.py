@@ -2,12 +2,15 @@
 and the Debye-function bridge between the dependence parameter theta and
 Kendall's tau.
 
-All evaluators are written in expm1/log1p style so they stay stable for
-|theta| up to ``THETA_SUPPORT`` (= 50); larger parameters are rejected.
-The key trick is the denominator rearrangement
+All evaluators are written in expm1/log1p style.  The cdf, density,
+generator and sampler accept |theta| up to ``THETA_SUPPORT`` (= 50) and
+``frank_checkerboard`` up to ``CHECKERBOARD_SUPPORT`` (= 300); larger
+parameters raise ThetaOutOfSupport.  The tau-theta bridge needs no bound
+of its own (its inversion searches |theta| <= 600).  The key trick is the
+denominator rearrangement
 
     1 - e^{-t} - (1 - e^{-tu})(1 - e^{-tv})
-        = -[ e^{-tu}(1 - e^{-tv}) + e^{-tv}(1 - e^{-t(1-v)}) ]
+        = e^{-tu}(1 - e^{-tv}) + e^{-tv}(1 - e^{-t(1-v)})
 
 whose right-hand side is a sum of same-sign terms, so it never cancels.
 """
@@ -17,13 +20,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import spence
 
 from .errors import NonInvertible, ThetaOutOfSupport, ZeroTau
 
-#: largest |theta| the closed-form evaluators accept.
+#: largest |theta| the cdf, density, generator and sampler accept.
 THETA_SUPPORT = 50.0
 
 #: marginal tolerance for constructed checkerboard densities.
@@ -229,49 +233,108 @@ def frank_sample(p: FrankParameter, count: int, seed: int) -> np.ndarray:
 # -- Debye bridge -----------------------------------------------------------
 
 
+def _bernoulli_even(count):
+    """B_2, B_4, ..., B_{2 count} as exact fractions (standard recurrence)."""
+    b = [Fraction(1)]
+    for m in range(1, 2 * count + 1):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return b[2::2]
+
+
+#: tau(x) = x * sum_k c_k x^{2k-2} with c_k = 4 B_2k / ((2k+1)(2k)!); the
+#: series converges for |x| < 2 pi; below |x| = _SERIES_LIMIT the terms
+#: after the 16th sum to under 1e-17 of tau, so 17 reach round-off.
+_TAU_SERIES = tuple(
+    float(4 * b / ((2 * k + 1) * math.factorial(2 * k)))
+    for k, b in enumerate(_bernoulli_even(17), start=1)
+)
+_TAU_SLOPE_SERIES = tuple(
+    (2 * k - 1) * c for k, c in enumerate(_TAU_SERIES, start=1)
+)
+_SERIES_LIMIT = 2.0
+_PI2_6 = math.pi**2 / 6.0
+
+
+def _even_poly(coeffs, x2):
+    """sum_k coeffs[k] x^{2k} by Horner's rule in x2 = x^2."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x2 + c
+    return acc
+
+
+def _tau_series(x: float) -> float:
+    return x * _even_poly(_TAU_SERIES, x * x)
+
+
+def _d1_positive(x: float) -> float:
+    """D1(x) for x >= _SERIES_LIMIT from the dilogarithm:
+    int_0^x t/(e^t - 1) dt = pi^2/6 + x log(1 - e^-x) - Li2(e^-x)."""
+    z = math.exp(-x)
+    return (_PI2_6 + x * math.log1p(-z) - float(spence(1.0 - z))) / x
+
+
 def debye_d1(x: float) -> float:
     """First Debye function D1(x) = (1/x) * int_0^x t/(e^t - 1) dt.
 
-    Defined for all real x (even in the x -> 0 limit, where it equals 1);
-    a short series handles |x| < 1e-3, quadrature the rest.
+    Defined for all real x (even in the x -> 0 limit, where it equals 1).
+    Below |x| = 2 it is 1 - x/4 + (x/4) tau(x) with tau's Bernoulli series;
+    from there on the dilogarithm closed form, with D1(-x) = D1(x) + x/2.
     """
     x = float(x)
     if not math.isfinite(x):
         raise ValueError("x must be finite")
-    if abs(x) < 1e-3:
-        # t/(e^t-1) = 1 - t/2 + t^2/12 - t^4/720 + ..., integrated and /x
-        return 1.0 - x / 4.0 + x * x / 36.0 - x**4 / 3600.0
+    if abs(x) < _SERIES_LIMIT:
+        return 1.0 - 0.25 * x + 0.25 * x * _tau_series(x)
+    d1 = _d1_positive(abs(x))
+    return d1 if x > 0.0 else d1 - 0.5 * x
 
-    def integrand(t):
-        return t / math.expm1(t) if t != 0.0 else 1.0
 
-    val, _ = quad(integrand, 0.0, x, epsabs=1e-13, epsrel=1e-13, limit=200)
-    return val / x
+def _tau(x: float) -> float:
+    """Kendall's tau of the Frank copula at theta = x, for x >= 0."""
+    if x < _SERIES_LIMIT:
+        return _tau_series(x)
+    return 1.0 - 4.0 / x * (1.0 - _d1_positive(x))
+
+
+def _tau_slope(theta: float) -> float:
+    """dtau/dtheta of the Frank bridge (even in theta; 1/9 at 0).
+
+    Above |theta| = 2 it is 4(1 - 2 D1)/theta^2 + 4/(theta (e^theta - 1)).
+    """
+    x = abs(float(theta))
+    if x < _SERIES_LIMIT:
+        return _even_poly(_TAU_SLOPE_SERIES, x * x)
+    # 1/(e^x - 1) as e^-x / (1 - e^-x), which cannot overflow
+    tail = math.exp(-x) / -math.expm1(-x)
+    return 4.0 * (1.0 - 2.0 * _d1_positive(x)) / (x * x) + 4.0 * tail / x
 
 
 def tau_from_theta(p: FrankParameter) -> float:
     """Kendall's tau of the Frank copula: 1 - (4/theta)(1 - D1(theta)).
 
-    That form cancels for small theta, so |theta| < 1e-2 uses the series
-    theta/9 - theta^3/900 + theta^5/52920 (next term below 1e-17 relative).
+    That form cancels for small theta, so |theta| < 2 sums tau's own odd
+    Bernoulli series theta/9 - theta^3/900 + theta^5/52920 - ... instead.
     """
     t = p.theta
-    if abs(t) < 1e-2:
-        t2 = t * t
-        return t * (1.0 / 9.0 - t2 * (1.0 / 900.0 - t2 / 52920.0))
-    return 1.0 - 4.0 / t * (1.0 - debye_d1(t))
+    return math.copysign(_tau(abs(t)), t)
 
 
 #: widest |theta| the tau inversion will search; tau(600) ~ 0.9934.
 _THETA_SEARCH_CAP = 600.0
+_TAU_AT_CAP = _tau(_THETA_SEARCH_CAP)
 
 
 def theta_from_tau(tau: float, tol: float = 1e-10) -> FrankParameter:
-    """Invert the tau-theta relation by bracketed bisection + Newton polish.
+    """Invert the tau-theta relation by safeguarded Newton on |tau|.
 
-    Guarantees |tau_from_theta(result) - tau| <= tol.  Raises ZeroTau for
-    tau = 0 (independence has no Frank parameter) and NonInvertible when
-    |tau| >= 1 or tau is beyond the searchable theta range.
+    Newton steps use the analytic slope from 9|tau| (a lower bound of the
+    root, as tau(theta) <= theta/9); a step that leaves the bracket
+    [9|tau|, 600] shrunk by the evaluations so far is replaced by its
+    midpoint.  Guarantees |tau_from_theta(result) - tau| <= tol.  Raises
+    ZeroTau for tau = 0 (independence has no Frank parameter) and
+    NonInvertible when |tau| >= 1 or tau is beyond the searchable theta
+    range.
     """
     if not math.isfinite(tau) or abs(tau) >= 1.0:
         raise NonInvertible(f"tau must lie in (-1, 1), got {tau}")
@@ -279,56 +342,80 @@ def theta_from_tau(tau: float, tol: float = 1e-10) -> FrankParameter:
         raise ZeroTau("tau = 0 corresponds to independence, not a Frank copula")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    target = abs(tau)
+    if target > _TAU_AT_CAP:
+        raise NonInvertible(
+            f"tau = {tau} needs |theta| beyond {_THETA_SEARCH_CAP}"
+        )
 
-    sign = 1.0 if tau > 0 else -1.0
-
-    def g(t):
-        return tau_from_theta(FrankParameter(t)) - tau
-
-    # tau(theta) <= theta / 9 for theta > 0, so 9 tau is a lower bracket
-    lo, hi = 9.0 * tau, sign * 50.0
-    g_lo, g_hi = g(lo), g(hi)
-    while g_lo * g_hi > 0.0:
-        hi *= 2.0
-        if abs(hi) > _THETA_SEARCH_CAP:
-            raise NonInvertible(
-                f"tau = {tau} needs |theta| beyond {_THETA_SEARCH_CAP}"
-            )
-        g_hi = g(hi)
-    # tau_from_theta is increasing, so order the bracket by function sign
-    # (g(9 tau) is 0 to rounding for tiny tau, so either end may decide)
-    if g_lo > 0.0 or g_hi < 0.0:
-        lo, hi = hi, lo
-    mid = 0.5 * (lo + hi)
+    lo, hi = 9.0 * target, _THETA_SEARCH_CAP
+    t = lo
+    g = _tau(t) - target
+    best = (abs(g), t)
     for _ in range(200):
-        gm = g(mid)
-        if abs(gm) <= tol:
+        step = t - g / _tau_slope(t)
+        if abs(g) <= tol:
+            # one Newton step past the tolerance, kept if it lands closer
+            if step != t:
+                best = min(best, (abs(_tau(step) - target), step))
             break
-        if gm < 0.0:
-            lo = mid
+        if g < 0.0:
+            lo = t
         else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    # one Newton polish with a central-difference slope
-    h = 1e-6 * max(1.0, abs(mid))
-    slope = (g(mid + h) - g(mid - h)) / (2.0 * h)
-    if slope != 0.0:
-        cand = mid - g(mid) / slope
-        if cand != 0.0 and abs(g(cand)) <= abs(g(mid)):
-            mid = cand
-    return FrankParameter(mid)
+            hi = t
+        t = step if lo < step < hi else 0.5 * (lo + hi)
+        if t in (lo, hi):
+            break  # the bracket is down to adjacent floats
+        g = _tau(t) - target
+        best = min(best, (abs(g), t))
+    return FrankParameter(math.copysign(best[1], tau))
 
 
 # -- checkerboard discretization --------------------------------------------
 
+#: largest |theta| frank_checkerboard accepts: its smallest cells are about
+#: e^{-2 |theta|}, which stay normal floats up to about 350.
+CHECKERBOARD_SUPPORT = 300.0
+
 
 def frank_checkerboard(p: FrankParameter, n: int) -> CheckerboardDensity:
-    """Cell masses as second differences of the cdf on the n x n grid."""
+    """Cell masses on the n x n grid, from the cdf's cross-ratio.
+
+    With A(u, v) = 1 + a(u) a(v)/k, a(u) = e^{-theta u} - 1 and
+    k = e^{-theta} - 1, cell (i, j) holds
+
+        (1/theta) log1p(-da_i da_j / (k A(u_i, v_j) A(u_i+1, v_j+1))),
+
+    a product of same-sign terms, so no second difference of the cdf
+    cancels.  It is computed at |theta| (C_{-theta}(u, v) = u - C_theta(u,
+    1 - v), so a negative theta reverses the columns).  Accepts |theta| up
+    to ``CHECKERBOARD_SUPPORT``.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if abs(p.theta) > CHECKERBOARD_SUPPORT:
+        raise ThetaOutOfSupport(
+            f"|theta| <= {CHECKERBOARD_SUPPORT} is the supported range for "
+            f"the Frank checkerboard, got {p.theta}"
+        )
+    t = abs(p.theta)
     nodes = np.arange(n + 1) / n
-    cdf = frank_cdf(p, nodes[:, None], nodes[None, :])
-    masses = np.diff(np.diff(cdf, axis=0), axis=1)
+    e = np.exp(-t * nodes)
+    # -k A(u, v) as the same-sign bracket of frank_cdf, at all node pairs
+    bracket = e[:, None] * _em(t * nodes)[None, :]
+    bracket += e * _em(t * (1.0 - nodes))
+    # -da_i = e^{-t u_i} (1 - e^{-t/n}); each factor is divided in before
+    # the next is multiplied in, so no partial product leaves the normal
+    # range (tiny theta included)
+    da = e[:n] * _em(t / n)
+    masses = da[:, None] / bracket[:n, :n]
+    masses *= da[None, :]
+    masses /= bracket[1:, 1:]
+    masses *= _em(t)
+    np.log1p(masses, out=masses)
+    masses /= t
+    if p.theta < 0.0:
+        masses = masses[:, ::-1]
     return CheckerboardDensity(n, masses)
 
 

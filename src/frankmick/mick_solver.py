@@ -24,8 +24,7 @@ import numpy as np
 from .copula_core import (
     MARGINAL_TOL,
     CheckerboardDensity,
-    FrankParameter,
-    tau_from_theta,
+    _tau_slope,
     theta_from_tau,
     uniform_checkerboard,
 )
@@ -324,13 +323,8 @@ def _search(cfg: SolverConfig) -> SolverReport:
     def report(lam, tau, state):
         return _assemble_report(state, lam, tau, cfg, len(evals), inner_total)
 
-    def bridge_tau(theta):
-        return tau_from_theta(FrankParameter(theta)) if theta else 0.0
-
-    # first slope dtau/dlambda: the Frank bridge's, by central difference
-    theta = 4.0 * lam
-    h = 1e-4 * max(1.0, abs(theta))
-    slope = 4.0 * (bridge_tau(theta + h) - bridge_tau(theta - h)) / (2.0 * h)
+    # first slope dtau/dlambda: the Frank bridge's, tau'(theta) at theta = 4 lambda
+    slope = 4.0 * _tau_slope(4.0 * lam)
     tau, state = evaluate(lam, uniform_checkerboard(cfg.n))
     best = (abs(tau - target), lam, tau, state)
     lo = hi = None  # multipliers whose tau fell below / above the target

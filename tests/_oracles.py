@@ -185,3 +185,48 @@ def random_feasible_with_tau(rng, n, target, tol=1e-10):
         else:
             hi = mid
     return m
+
+
+def frank_d1_mp(x, dps=40):
+    """Debye D1(x) by mpmath quadrature of its definition, for either sign
+    of x (no reflection formula, no dilogarithm)."""
+    with mpmath.workdps(dps):
+        x = mpmath.mpf(x)
+        integral = mpmath.quad(lambda t: t / mpmath.expm1(t) if t else 1, [0, x])
+        return float(integral / x)
+
+
+def frank_tau_slope_mp(theta, dps=50):
+    """dtau/dtheta of the Frank bridge by mpmath's numerical derivative of
+    the dilogarithm form of tau (odd in theta, so even slope)."""
+    with mpmath.workdps(dps):
+
+        def tau(t):
+            z = mpmath.exp(-t)
+            integral = mpmath.pi**2 / 6 + t * mpmath.log1p(-z) - mpmath.polylog(2, z)
+            return 1 - 4 / t * (1 - integral / t)
+
+        return float(mpmath.diff(tau, abs(mpmath.mpf(theta))))
+
+
+def frank_cells_mp(theta, n, cells, dps):
+    """Masses of the given (i, j) cells of the n-grid Frank checkerboard, as
+    second differences of the mpmath cdf at ``dps`` digits.  A cell of mass
+    m next to cdf values of order 1 needs dps well above -log10(m)."""
+    with mpmath.workdps(dps):
+        t = mpmath.mpf(theta)
+        k = mpmath.expm1(-t)
+        memo = {}
+
+        def cdf(a, b):
+            if (a, b) not in memo:
+                u, v = mpmath.mpf(a) / n, mpmath.mpf(b) / n
+                memo[a, b] = -mpmath.log(
+                    1 + mpmath.expm1(-t * u) * mpmath.expm1(-t * v) / k
+                ) / t
+            return memo[a, b]
+
+        return [
+            float(cdf(i + 1, j + 1) - cdf(i, j + 1) - cdf(i + 1, j) + cdf(i, j))
+            for i, j in cells
+        ]

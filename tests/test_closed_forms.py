@@ -1,0 +1,135 @@
+"""The closed-form theta-tau bridge and Frank checkerboard against mpmath,
+over the whole range each is used on: |theta| from 1e-8 to the inversion's
+search cap of 600 for the bridge (both signs, and across the |theta| = 2
+switch from series to dilogarithm), and up to CHECKERBOARD_SUPPORT for
+the cell masses."""
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import frankmick
+from frankmick import (
+    FrankParameter,
+    debye_d1,
+    frank_checkerboard,
+    tau_from_theta,
+    theta_from_tau,
+)
+from frankmick.copula_core import CHECKERBOARD_SUPPORT, _tau_slope
+
+from _oracles import (
+    frank_cells_mp,
+    frank_d1_mp,
+    frank_tau_mp,
+    frank_tau_slope_mp,
+)
+
+# |theta| log-uniform on [1e-8, 600], plus a band around the series switch
+_MAGNITUDES = st.one_of(
+    st.floats(-8.0, math.log10(600.0)).map(lambda e: min(10.0**e, 600.0)),
+    st.floats(1.5, 2.5),
+)
+THETAS = st.builds(lambda m, s: s * m, _MAGNITUDES, st.sampled_from([1.0, -1.0]))
+
+SWITCH = (2.0, -2.0, math.nextafter(2.0, 0.0), math.nextafter(2.0, 3.0))
+
+
+class TestBridgeAgainstMpmath:
+    @settings(max_examples=150, deadline=None)
+    @given(THETAS)
+    @example(1e-8)
+    @example(-600.0)
+    @example(SWITCH[2])
+    @example(SWITCH[3])
+    def test_tau(self, theta):
+        ref = frank_tau_mp(theta, dps=60)
+        assert abs(tau_from_theta(FrankParameter(theta)) - ref) <= 1e-13 * abs(ref)
+
+    @settings(max_examples=100, deadline=None)
+    @given(THETAS)
+    @example(-2.0)
+    @example(-600.0)
+    @example(SWITCH[2])
+    def test_debye_d1(self, x):
+        # the reference integrates the definition for either sign, so a
+        # negative x checks the reflection D1(-x) = D1(x) + x/2 as well
+        ref = frank_d1_mp(x)
+        assert abs(debye_d1(x) - ref) <= 1e-13 * abs(ref)
+
+    @settings(max_examples=100, deadline=None)
+    @given(THETAS)
+    @example(2.0)
+    @example(SWITCH[2])
+    @example(600.0)
+    def test_slope(self, theta):
+        ref = frank_tau_slope_mp(theta)
+        assert abs(_tau_slope(theta) - ref) <= 1e-12 * ref
+
+    def test_slope_at_independence(self):
+        assert _tau_slope(0.0) == pytest.approx(1.0 / 9.0, rel=1e-15)
+
+    @settings(max_examples=150, deadline=None)
+    @given(THETAS)
+    @example(600.0)
+    @example(-1e-8)
+    @example(SWITCH[3])
+    def test_round_trip(self, theta):
+        tau = tau_from_theta(FrankParameter(theta))
+        back = theta_from_tau(tau, tol=1e-12).theta
+        assert abs(tau_from_theta(FrankParameter(back)) - tau) <= 1e-12
+        # tau is monotone with slope tau'(theta) there, so the promise on
+        # tau bounds how far theta may move
+        assert math.copysign(1.0, back) == math.copysign(1.0, theta)
+        assert abs(back - theta) <= 1.1e-12 / _tau_slope(theta)
+
+
+class TestCheckerboardAgainstMpmath:
+    # the smallest cell is about e^{-2|theta|} next to cdf values of order 1,
+    # so the reference cancels about 0.87 |theta| digits; 40 more are kept
+    @staticmethod
+    def _dps(theta):
+        return 40 + int(0.87 * abs(theta))
+
+    @pytest.mark.parametrize("theta", [50.0, -50.0, 115.6, 300.0, -300.0])
+    def test_whole_board_n16(self, theta):
+        n = 16
+        cells = [(i, j) for i in range(n) for j in range(n)]
+        ref = np.array(frank_cells_mp(theta, n, cells, self._dps(theta))).reshape(n, n)
+        got = frank_checkerboard(FrankParameter(theta), n).masses
+        assert np.all(ref > 0.0)
+        assert np.max(np.abs(got - ref) / ref) <= 1e-13
+
+    @pytest.mark.parametrize("theta", [50.0, -50.0, 115.6, 300.0])
+    def test_sampled_cells_n256(self, theta):
+        n = 256
+        rng = np.random.default_rng(7)
+        corners = [(0, 0), (0, n - 1), (n - 1, 0), (n - 1, n - 1), (n // 2, n // 2)]
+        drawn = rng.integers(0, n, size=(40, 2))
+        cells = corners + [(int(i), int(j)) for i, j in drawn]
+        ref = np.array(frank_cells_mp(theta, n, cells, self._dps(theta)))
+        masses = frank_checkerboard(FrankParameter(theta), n).masses
+        got = np.array([masses[i, j] for i, j in cells])
+        assert np.all(ref > 0.0)
+        assert np.max(np.abs(got - ref) / ref) <= 1e-13
+
+    def test_support_bound(self):
+        frank_checkerboard(FrankParameter(CHECKERBOARD_SUPPORT), 8)
+        frank_checkerboard(FrankParameter(-CHECKERBOARD_SUPPORT), 8)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    src = Path(frankmick.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, frankmick; print('scipy.integrate' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

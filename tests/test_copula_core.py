@@ -49,7 +49,7 @@ class TestFrankParameter:
             frank_density(p, 0.5, 0.5)
 
     def test_extreme_theta_error_is_typed(self):
-        p = FrankParameter(60.0)
+        p = FrankParameter(400.0)
         with pytest.raises(ThetaOutOfSupport) as err:
             frank_checkerboard(p, 4)
         assert isinstance(err.value, FrankMickError)
