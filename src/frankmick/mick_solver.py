@@ -40,6 +40,9 @@ from .errors import (
 _SINKHORN_CAP = 50_000
 _ANDERSON_MEMORY = 3  # difference pairs kept by inner_fixed_point
 _ANDERSON_RIDGE = 1e-12  # ridge on its normal equations, relative to their trace
+_NEWTON_RATIO = 0.5  # a sweep shrinking the row residual by less than this ...
+_NEWTON_MAX_N = 64  # ... switches sinkhorn_project to Newton up to this n
+_NEWTON_STEPS = 50  # Newton steps, and halvings of one step, before it gives up
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,6 @@ class SolverState:
     row_potentials: np.ndarray
     col_potentials: np.ndarray
     inner_iterations: int = 0
-    damping_cuts: int = 0
 
 
 @dataclass(frozen=True)
@@ -126,7 +128,13 @@ def sinkhorn_project(kernel) -> CheckerboardDensity:
     next sweep needs anyway; P is built and both marginals checked only
     once that residual is within MARGINAL_TOL.  A kernel that already
     carries its column scaling (a warm start) therefore needs few sweeps.
-    Raises NotConverged for badly scaled kernels.
+    When the sweeps contract slowly -- a sweep shrinks the row residual by
+    less than a factor _NEWTON_RATIO -- and n <= _NEWTON_MAX_N, the
+    projection switches once to a Newton finish on the log-scalings
+    (_newton_finish) from the current r and c, with the same exit test on
+    both marginals.  If its line search stalls first, the sweeps resume
+    from its last scalings and never switch again.  Raises NotConverged
+    for badly scaled kernels.
     """
     K = np.asarray(kernel, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
@@ -137,11 +145,14 @@ def sinkhorn_project(kernel) -> CheckerboardDensity:
     target = 1.0 / n
     c = np.ones(n)
     Kc = K @ c
+    newton = n <= _NEWTON_MAX_N
+    prev_resid = math.inf
     for _ in range(_SINKHORN_CAP):
         r = target / Kc
         c = target / (K.T @ r)
         Kc = K @ c
-        if np.abs(r * Kc - target).max() <= MARGINAL_TOL:
+        resid = np.abs(r * Kc - target).max()
+        if resid <= MARGINAL_TOL:
             P = r[:, None] * K * c[None, :]
             err = max(
                 np.max(np.abs(P.sum(axis=1) - target)),
@@ -149,9 +160,55 @@ def sinkhorn_project(kernel) -> CheckerboardDensity:
             )
             if err <= MARGINAL_TOL:
                 return CheckerboardDensity(n, P)
+        if newton and resid > _NEWTON_RATIO * prev_resid:
+            newton = False
+            P, c = _newton_finish(K, r, c)
+            if P is not None:
+                return CheckerboardDensity(n, P)
+            Kc = K @ c
+        prev_resid = resid
     raise NotConverged(
         f"Sinkhorn scaling did not reach {MARGINAL_TOL} in {_SINKHORN_CAP} sweeps"
     )
+
+
+def _newton_finish(K, r, c):
+    """Sinkhorn-Newton (Brauer, Clason, Lorenz & Wirth 2017) on (log r, log c).
+
+    Returns (P, c) with P = D_r K D_c once both marginals are within
+    MARGINAL_TOL, or (None, c) with the last accepted column scaling when
+    the line search stalls.  c[0] is held fixed as the gauge, so each step
+    solves the (2n - 1)^2 system [[diag(row sums), P], [P^T, diag(col
+    sums)]] without the row and column of c[0]; a step is halved until the
+    L1 marginal error falls.
+    """
+    n = K.shape[0]
+    target = 1.0 / n
+    P = r[:, None] * K * c[None, :]
+    sums = np.concatenate((P.sum(axis=1), P.sum(axis=0)))  # rows, then columns
+    for _ in range(_NEWTON_STEPS):
+        dev = sums - target
+        if np.abs(dev).max() <= MARGINAL_TOL:
+            return P, c
+        B = P[:, 1:]
+        J = np.block([[np.diag(sums[:n]), B], [B.T, np.diag(sums[n + 1 :])]])
+        try:
+            d = np.linalg.solve(J, -np.delete(dev, n))
+        except np.linalg.LinAlgError:
+            return None, c
+        dx, dy = d[:n], np.concatenate(([0.0], d[n:]))
+        err, step = np.abs(dev).sum(), 1.0
+        for _ in range(_NEWTON_STEPS):
+            r_t, c_t = r * np.exp(step * dx), c * np.exp(step * dy)
+            P_t = r_t[:, None] * K * c_t[None, :]
+            sums_t = np.concatenate((P_t.sum(axis=1), P_t.sum(axis=0)))
+            if np.abs(sums_t - target).sum() < err:
+                break
+            step *= 0.5
+        else:
+            return None, c
+        r, c, P, sums = r_t, c_t, P_t, sums_t
+    return None, c
 
 
 def _additive_fit(M: np.ndarray):
@@ -204,21 +261,15 @@ def inner_fixed_point(
     Walker & Ni 2011).  The first L is the damped log-kernel of the
     starting masses.  beta = log q[0, :] - L[0, :] is the column scaling
     that took L to q; adding it to the next L warm-starts the projection.
-    Three growths in a row of the sup-norm change of q halve the damping
-    (a cut) and clear the Anderson history, except below 10 * cfg.tol_fix,
-    where the change is Sinkhorn round-off rather than oscillation.  Stops
-    when the change and the stationarity residual of q both fall below
-    cfg.tol_fix, or after cfg.max_inner iterations.  The returned state
-    carries the row and column potentials of its masses, the iteration
-    count and the number of damping cuts.
+    Stops when the sup-norm change of q and its stationarity residual both
+    fall below cfg.tol_fix, or after cfg.max_inner iterations.  The
+    returned state carries the row and column potentials of its masses
+    and the iteration count.
     """
     p = state.density.masses
     if np.any(p <= 0.0):
         raise DivergenceDetected("initial density must be strictly positive")
     d = cfg.damping
-    prev_change = math.inf
-    growth_streak = 0
-    cuts = 0
     iterations = 0
     log_p = np.log(p)
     S = _potential_from_masses(p)
@@ -239,17 +290,6 @@ def inner_fixed_point(
         log_q = np.log(q)
         beta = log_q[0] - L[0]
         change = float(np.max(np.abs(q - p)))
-        if change > prev_change and change > 10.0 * cfg.tol_fix:
-            growth_streak += 1
-            if growth_streak >= 3 and d > 0.05:
-                d = max(0.05, d / 2.0)  # oscillation: damp harder
-                growth_streak = 0
-                cuts += 1
-                dG, dF = [], []  # differences taken under the old d
-                G_prev = None
-        else:
-            growth_streak = 0
-        prev_change = change
         p, log_p = q, log_q
         S = _potential_from_masses(p)
         if change <= cfg.tol_fix:
@@ -273,7 +313,6 @@ def inner_fixed_point(
         row_potentials=a,
         col_potentials=b,
         inner_iterations=iterations,
-        damping_cuts=cuts,
     )
 
 

@@ -104,6 +104,24 @@ def damped_fixed_point(n, lambda_d, damping=0.5, tol=1e-13, max_steps=5000):
     raise RuntimeError(f"damped iteration did not reach {tol}")
 
 
+def sinkhorn_sweeps(kernel, tol=1e-14, max_sweeps=100_000):
+    """Plain alternating Sinkhorn scaling from c = 1 that never switches to
+    another method: sweeps until both marginals of D_r K D_c are within
+    tol of 1/n, checking the full masses after every sweep."""
+    K = np.asarray(kernel, dtype=float)
+    n = K.shape[0]
+    c = np.ones(n)
+    for _ in range(max_sweeps):
+        r = 1.0 / (n * (K @ c))
+        c = 1.0 / (n * (K.T @ r))
+        P = r[:, None] * K * c[None, :]
+        rows = np.abs(P.sum(axis=1) - 1.0 / n).max()
+        cols = np.abs(P.sum(axis=0) - 1.0 / n).max()
+        if max(rows, cols) <= tol:
+            return P
+    raise RuntimeError(f"Sinkhorn sweeps did not reach {tol}")
+
+
 def sample_checkerboard(masses: np.ndarray, count: int, seed: int):
     """Draw (u, v) pairs from a checkerboard density: pick a cell by mass,
     then uniform within the cell."""

@@ -27,6 +27,7 @@ from _oracles import (
     damped_fixed_point,
     projected_gradient_mick,
     random_feasible_with_tau,
+    sinkhorn_sweeps,
 )
 
 
@@ -318,6 +319,111 @@ class TestSinkhornIllConditioned:
             assert got == pytest.approx(want, rel=1e-10)
 
 
+def high_theta_kernel():
+    """The inner step's kernel exp(2 lambda S) at n = 16, theta = 4 lambda = 56."""
+    from frankmick import FrankParameter, frank_checkerboard
+
+    board = frank_checkerboard(FrankParameter(56.0), 16).masses
+    return np.exp(28.0 * _potential_from_masses(board) - 28.0)
+
+
+def tilted_kernel():
+    """random_feasible_with_tau's kernel exp(logR + w D) at n = 4, w = 20."""
+    g = (2.0 * np.arange(1, 5) - 5.0) / 4.0
+    logR = np.random.default_rng(0).normal(size=(4, 4))
+    return np.exp(logR + 20.0 * np.outer(g, g))
+
+
+SLOW_KERNELS = {"theta56_n16": high_theta_kernel, "tilted_n4": tilted_kernel}
+
+
+class TestNewtonFinish:
+    def count_newton(self, monkeypatch):
+        calls = []
+        original = mick_solver._newton_finish
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(mick_solver, "_newton_finish", counted)
+        return calls
+
+    def sweeps_only(self, monkeypatch, K):
+        with monkeypatch.context() as m:
+            m.setattr(mick_solver, "_NEWTON_MAX_N", 0)
+            return sinkhorn_project(K).masses
+
+    @pytest.mark.parametrize("name", sorted(SLOW_KERNELS))
+    def test_slow_kernel_switches_once(self, monkeypatch, name):
+        calls = self.count_newton(monkeypatch)
+        sinkhorn_project(SLOW_KERNELS[name]())
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", sorted(SLOW_KERNELS))
+    def test_marginals_and_cross_ratios(self, name):
+        K = SLOW_KERNELS[name]()
+        n = K.shape[0]
+        P = sinkhorn_project(K).masses
+        assert np.max(np.abs(P.sum(axis=0) - 1 / n)) <= 1e-10
+        assert np.max(np.abs(P.sum(axis=1) - 1 / n)) <= 1e-10
+        # every cross-ratio P_ij P_kl / (P_il P_kj) against the kernel's
+        got = P[:, None, :, None] * P[None, :, None, :] / (
+            P[:, None, None, :] * P[None, :, :, None]
+        )
+        want = K[:, None, :, None] * K[None, :, None, :] / (
+            K[:, None, None, :] * K[None, :, :, None]
+        )
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-10
+
+    @pytest.mark.parametrize("name", sorted(SLOW_KERNELS))
+    def test_matches_plain_sweeps_to_round_off(self, name):
+        K = SLOW_KERNELS[name]()
+        P = sinkhorn_project(K).masses
+        assert np.max(np.abs(P - sinkhorn_sweeps(K))) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(SLOW_KERNELS))
+    def test_newton_alone_from_far_start(self, name):
+        # from masses far too small, full steps overshoot: the line search
+        # has to hold them back
+        K = SLOW_KERNELS[name]()
+        ones = np.ones(K.shape[0])
+        P, c = mick_solver._newton_finish(K, 0.01 * ones, ones)
+        assert P is not None and c[0] == 1.0  # c[0] is the gauge
+        assert np.max(np.abs(P - sinkhorn_sweeps(K))) <= 1e-12
+
+    def test_stalled_newton_falls_back_once(self, monkeypatch):
+        calls = []
+
+        def stalled(K, r, c):
+            calls.append(1)
+            return None, c
+
+        monkeypatch.setattr(mick_solver, "_newton_finish", stalled)
+        K = high_theta_kernel()
+        P = sinkhorn_project(K).masses
+        assert len(calls) == 1
+        assert np.array_equal(P, self.sweeps_only(monkeypatch, K))
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0])
+    def test_well_conditioned_kernel_never_switches(self, monkeypatch, scale):
+        calls = self.count_newton(monkeypatch)
+        K = np.exp(scale * np.random.default_rng(8).normal(size=(12, 12)))
+        P = sinkhorn_project(K).masses
+        assert not calls
+        assert np.array_equal(P, self.sweeps_only(monkeypatch, K))
+
+    def test_dense_gate(self, monkeypatch):
+        calls = self.count_newton(monkeypatch)
+        rng = np.random.default_rng(9)
+        sinkhorn_project(np.exp(3.0 * rng.standard_normal((64, 64))))
+        assert len(calls) == 1
+        K = np.exp(3.0 * rng.standard_normal((65, 65)))
+        P = sinkhorn_project(K).masses
+        assert len(calls) == 1
+        assert np.array_equal(P, self.sweeps_only(monkeypatch, K))
+
+
 class TestInnerStepWork:
     def count_calls(self, monkeypatch, name):
         calls = []
@@ -344,31 +450,23 @@ class TestInnerStepWork:
         with pytest.raises(DivergenceDetected):
             inner_fixed_point(make_state(4), 1000.0, SolverConfig(n=4, target_tau=0.3))
 
-    def test_damping_cuts_counted(self):
-        # tol_fix far below Sinkhorn's round-off keeps the change jittering
-        # above 10 * tol_fix, so the growth rule halves d down to 0.05
-        cfg = SolverConfig(n=16, target_tau=0.3, tol_fix=1e-13, max_inner=300)
-        state = inner_fixed_point(make_state(16), 14.0, cfg)
-        assert 1 <= state.damping_cuts <= 4
-
 
 @lru_cache(maxsize=None)
 def high_tau_solve(n, tau, tol_tau=1e-6):
-    """The report, and the damping cuts of every inner solve behind it."""
-    cuts = []
+    """The report, and the number of inner solves behind it."""
+    calls = []
     original = mick_solver.inner_fixed_point
 
     def recorded(*args):
-        state = original(*args)
-        cuts.append(state.damping_cuts)
-        return state
+        calls.append(1)
+        return original(*args)
 
     mick_solver.inner_fixed_point = recorded
     try:
         report = solve_mick(SolverConfig(n=n, target_tau=tau, tol_tau=tol_tau))
     finally:
         mick_solver.inner_fixed_point = original
-    return report, cuts
+    return report, len(calls)
 
 
 class TestHighTau:
@@ -384,10 +482,9 @@ class TestHighTau:
         assert abs(report.implied_theta - self.REFERENCE[(n, tau)]) <= 1e-6
 
     @pytest.mark.parametrize("n, tau", sorted(REFERENCE))
-    def test_no_damping_cuts(self, n, tau):
-        report, cuts = high_tau_solve(n, tau)
-        assert len(cuts) == report.outer_iterations
-        assert report.state.damping_cuts == 0 and not any(cuts)
+    def test_one_inner_solve_per_evaluation(self, n, tau):
+        report, calls = high_tau_solve(n, tau)
+        assert calls == report.outer_iterations
 
     def test_few_outer_evaluations(self):
         report, _ = high_tau_solve(16, 0.9)
