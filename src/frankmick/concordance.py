@@ -5,24 +5,10 @@ local-dependence equation d2/dudv log c = const * c.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .copula_core import CheckerboardDensity, FrankParameter, GridFunction, frank_cdf
 from .errors import NonPositiveDensity
-
-
-@dataclass(frozen=True)
-class ConcordancePotential:
-    """Signed quadrant mass sums S_ij for a checkerboard density.
-
-    S_ij = sum_{k,l} sgn(i-k) sgn(j-l) mass_kl; the gradient of the tau
-    functional with respect to mass_ij is 2 * S_ij.
-    """
-
-    n: int
-    values: np.ndarray
 
 
 def _potential_from_masses(m: np.ndarray) -> np.ndarray:
@@ -50,9 +36,13 @@ def _potential_from_masses(m: np.ndarray) -> np.ndarray:
     return S
 
 
-def concordance_potential(c: CheckerboardDensity) -> ConcordancePotential:
-    """Quadrant potential of a checkerboard density, in O(n^2)."""
-    return ConcordancePotential(c.n, _potential_from_masses(c.masses))
+def concordance_potential(c: CheckerboardDensity) -> np.ndarray:
+    """Signed quadrant mass sums S_ij of a checkerboard density, in O(n^2).
+
+    S_ij = sum_{k,l} sgn(i-k) sgn(j-l) mass_kl; the gradient of the tau
+    functional with respect to mass_ij is 2 * S_ij.
+    """
+    return _potential_from_masses(c.masses)
 
 
 def kendall_tau_checkerboard(c: CheckerboardDensity) -> float:

@@ -63,10 +63,10 @@ def convergence_sweep(
         try:
             report = solve_mick(replace(cfg_template, n=n, target_tau=tau))
             if tau == 0.0:
-                ref = uniform_checkerboard(n).masses
-                err = float(np.max(np.abs(report.state.density.masses - ref)))
+                ref = uniform_checkerboard(n)
             else:
-                err = compare_to_frank(report, FrankParameter(theta))
+                ref = frank_checkerboard(FrankParameter(theta), n)
+            err = sup_mass_difference(report.state.density, ref)
         except FrankMickError as exc:
             failures[n] = f"{type(exc).__name__}: {exc}"
             continue

@@ -7,10 +7,13 @@ and prescribed tau.  The stationarity condition
 
 (S the concordance potential) is solved by an Anderson-accelerated damped
 self-consistent iteration whose marginal constraints are enforced by
-Sinkhorn scaling; an outer safeguarded secant search, seeded by the Frank
-bridge, adjusts the multiplier lambda_d until the achieved tau matches the
-target.  The continuum analog of the multiplier maps to a Frank parameter
-via theta = 4 * lambda_d, which the report exposes as ``implied_theta``.
+Sinkhorn scaling.  Its one residual, max|center(log p - 2 lambda_d S)|
+with center removing row and column means, measures the departure from
+the additive form above; it stops the iteration and goes in the report.
+An outer safeguarded secant search, seeded by the Frank bridge, adjusts
+the multiplier lambda_d until the achieved tau matches the target.  The
+continuum analog of the multiplier maps to a Frank parameter via
+theta = 4 * lambda_d, which the report exposes as ``implied_theta``.
 """
 
 from __future__ import annotations
@@ -211,23 +214,20 @@ def _newton_finish(K, r, c):
     return None, c
 
 
-def _additive_fit(M: np.ndarray):
-    """Least-squares additive decomposition M ~ const + a_i + b_j."""
-    grand = M.mean()
-    a = M.mean(axis=1) - grand
-    b = M.mean(axis=0) - grand
-    resid = M - grand - a[:, None] - b[None, :]
-    return grand, a, b, float(np.max(np.abs(resid)))
-
-
-def _stationarity(log_masses: np.ndarray, lambda_d: float, S: np.ndarray):
-    return _additive_fit(log_masses - 2.0 * lambda_d * S)
-
-
 def _center(M: np.ndarray) -> np.ndarray:
-    """M without its row and column means: the gauge Sinkhorn ignores."""
+    """M without its row and column means: the gauge Sinkhorn ignores.
+
+    This is also the residual of the least-squares fit M ~ const + a_i + b_j.
+    """
     M = M - M.mean(axis=1, keepdims=True)
-    return M - M.mean(axis=0)
+    M -= M.mean(axis=0)
+    return M
+
+
+def _residual(M: np.ndarray) -> float:
+    """Sup norm of M's departure from the additive form const + a_i + b_j."""
+    R = _center(M)
+    return float(np.abs(R, out=R).max())
 
 
 def _anderson_step(G, F, dG, dF):
@@ -261,10 +261,12 @@ def inner_fixed_point(
     Walker & Ni 2011).  The first L is the damped log-kernel of the
     starting masses.  beta = log q[0, :] - L[0, :] is the column scaling
     that took L to q; adding it to the next L warm-starts the projection.
-    Stops when the sup-norm change of q and its stationarity residual both
-    fall below cfg.tol_fix, or after cfg.max_inner iterations.  The
+    Stops at the first q whose stationarity residual max|center(log q -
+    2 lambda_d S(q))| is within cfg.tol_fix -- q is projected, so it also
+    meets the marginals -- or after cfg.max_inner iterations.  The
     returned state carries the row and column potentials of its masses
-    and the iteration count.
+    (the row and column means of log q - 2 lambda_d S(q), less the grand
+    mean) and the iteration count.
     """
     p = state.density.masses
     if np.any(p <= 0.0):
@@ -272,8 +274,8 @@ def inner_fixed_point(
     d = cfg.damping
     iterations = 0
     log_p = np.log(p)
-    S = _potential_from_masses(p)
-    L = (1.0 - d) * log_p + d * (2.0 * lambda_d * S)
+    T = 2.0 * lambda_d * _potential_from_masses(p)  # 2 lambda_d S(p)
+    L = (1.0 - d) * log_p + d * T
     beta = np.zeros(p.shape[0])
     dG, dF = [], []  # the last differences of G(L) and of G(L) - L
     G_prev = F_prev = None
@@ -287,16 +289,12 @@ def inner_fixed_point(
         q = sinkhorn_project(kernel).masses
         if q.min() <= 0.0:
             raise DivergenceDetected("cell mass underflowed to zero")
-        log_q = np.log(q)
-        beta = log_q[0] - L[0]
-        change = float(np.max(np.abs(q - p)))
-        p, log_p = q, log_q
-        S = _potential_from_masses(p)
-        if change <= cfg.tol_fix:
-            _, a, b, resid = _stationarity(log_p, lambda_d, S)
-            if resid <= cfg.tol_fix:
-                break
-        G = _center((1.0 - d) * log_p + d * (2.0 * lambda_d * S))
+        p, log_p = q, np.log(q)
+        beta = log_p[0] - L[0]
+        T = 2.0 * lambda_d * _potential_from_masses(p)
+        if _residual(log_p - T) <= cfg.tol_fix:
+            break
+        G = _center((1.0 - d) * log_p + d * T)
         F = G - L
         if G_prev is not None:
             dG.append(G - G_prev)
@@ -305,42 +303,67 @@ def inner_fixed_point(
                 del dG[0], dF[0]
         G_prev, F_prev = G, F
         L = _anderson_step(G, F, dG, dF)
-    else:
-        _, a, b, _ = _stationarity(log_p, lambda_d, S)
+    M = log_p - T
     return SolverState(
         density=CheckerboardDensity(p.shape[0], p),
         multiplier=lambda_d,
-        row_potentials=a,
-        col_potentials=b,
+        row_potentials=M.mean(axis=1) - M.mean(),
+        col_potentials=M.mean(axis=0) - M.mean(),
         inner_iterations=iterations,
     )
 
 
 def tau_max_for_grid(n: int) -> float:
-    """Largest tau attainable on an n-grid: tau of the diagonal checkerboard."""
-    return kendall_tau_checkerboard(
-        CheckerboardDensity(n, np.diag(np.full(n, 1.0 / n)))
+    """Largest tau attainable on an n-grid: tau of the diagonal checkerboard.
+
+    Its n cells of mass 1/n each see S_ii = (n - 1) / n, so tau = (n - 1) / n.
+    """
+    return (n - 1) / n
+
+
+def _assemble_report(state, lam, tau, cfg, outer, inner_total) -> SolverReport:
+    m = state.density.masses
+    resid = _residual(np.log(m) - 2.0 * lam * _potential_from_masses(m))
+    converged = abs(tau - cfg.target_tau) <= cfg.tol_tau and resid <= cfg.tol_fix
+    return SolverReport(
+        state=state,
+        achieved_tau=tau,
+        stationarity_residual=resid,
+        outer_iterations=outer,
+        inner_iterations_total=inner_total,
+        converged=converged,
+        implied_theta=4.0 * lam,
     )
 
 
-def outer_multiplier_search(cfg: SolverConfig):
-    """Find lambda_d whose fixed-point tau hits cfg.target_tau.
+def solve_mick(cfg: SolverConfig) -> SolverReport:
+    """Solve the discrete minimum-information problem for cfg.target_tau.
 
-    Returns (lambda_d, state).  Starts at lambda_0 = theta(tau) / 4 and
-    steps along the Frank bridge's slope dtau/dlambda = 4 tau'(4 lambda_0),
-    then by secants through the last two evaluations, each step capped at
-    max(0.25, |lambda| / 2); once the target is bracketed, a guess outside
-    the bracket becomes its midpoint, and a non-positive slope falls back
-    to a capped step toward the target.  Running past |lambda| = 200
-    unbracketed raises BracketFailure with the achieved tau range; using
-    up cfg.max_outer evaluations raises NoConvergence with the best report.
+    Deterministic given the config.  Tau = 0 returns the uniform board at
+    lambda_d = 0; a target beyond the grid's attainable range raises
+    TauInfeasible.  Otherwise the multiplier search starts at lambda_0 =
+    theta(tau) / 4 (or cfg.multiplier_init) and steps along the Frank
+    bridge's slope dtau/dlambda = 4 tau'(4 lambda_0), then by secants
+    through the last two evaluations, each step capped at max(0.25,
+    |lambda| / 2); once the target is bracketed, a guess outside the
+    bracket becomes its midpoint, and a non-positive slope falls back to a
+    capped step toward the target.  Each evaluation is an inner fixed
+    point warm-started from the previous one's masses.  Running past
+    |lambda| = 200 unbracketed raises BracketFailure with the achieved tau
+    range; using up cfg.max_outer evaluations raises NoConvergence
+    carrying the report of the closest tau.
     """
-    report = _search(cfg)
-    return report.state.multiplier, report.state
-
-
-def _search(cfg: SolverConfig) -> SolverReport:
     target = cfg.target_tau
+    if target == 0.0:
+        density = uniform_checkerboard(cfg.n)
+        state = SolverState(density, 0.0, np.zeros(cfg.n), np.zeros(cfg.n))
+        return _assemble_report(state, 0.0, 0.0, cfg, 0, 0)
+    limit = tau_max_for_grid(cfg.n)
+    if abs(target) >= limit:
+        raise TauInfeasible(
+            f"|tau| = {abs(target)} is not attainable on an "
+            f"n = {cfg.n} grid (max {limit})"
+        )
     if cfg.multiplier_init == "auto":
         lam = theta_from_tau(target, 1e-10).theta / 4.0
     else:
@@ -399,36 +422,11 @@ def _search(cfg: SolverConfig) -> SolverReport:
     return report(lam, tau, state)
 
 
-def _assemble_report(state, lam, tau, cfg, outer, inner_total) -> SolverReport:
-    m = state.density.masses
-    _, _, _, resid = _stationarity(np.log(m), lam, _potential_from_masses(m))
-    converged = abs(tau - cfg.target_tau) <= cfg.tol_tau and resid <= cfg.tol_fix
-    return SolverReport(
-        state=state,
-        achieved_tau=tau,
-        stationarity_residual=resid,
-        outer_iterations=outer,
-        inner_iterations_total=inner_total,
-        converged=converged,
-        implied_theta=4.0 * lam,
-    )
+def outer_multiplier_search(cfg: SolverConfig):
+    """Find lambda_d whose fixed-point tau hits cfg.target_tau.
 
-
-def solve_mick(cfg: SolverConfig) -> SolverReport:
-    """Solve the discrete minimum-information problem for cfg.target_tau.
-
-    Deterministic given the config.  Raises TauInfeasible when the target
-    exceeds the grid's attainable range and NoConvergence (carrying the
-    best iterate) when iteration limits run out.
+    Returns (lambda_d, state) of solve_mick(cfg), which describes the
+    search and the errors it raises.
     """
-    if cfg.target_tau == 0.0:
-        density = uniform_checkerboard(cfg.n)
-        state = SolverState(density, 0.0, np.zeros(cfg.n), np.zeros(cfg.n))
-        return _assemble_report(state, 0.0, 0.0, cfg, 0, 0)
-    limit = tau_max_for_grid(cfg.n)
-    if abs(cfg.target_tau) >= limit:
-        raise TauInfeasible(
-            f"|tau| = {abs(cfg.target_tau)} is not attainable on an "
-            f"n = {cfg.n} grid (max {limit})"
-        )
-    return _search(cfg)
+    report = solve_mick(cfg)
+    return report.state.multiplier, report.state

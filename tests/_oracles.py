@@ -122,6 +122,17 @@ def sinkhorn_sweeps(kernel, tol=1e-14, max_sweeps=100_000):
     raise RuntimeError(f"Sinkhorn sweeps did not reach {tol}")
 
 
+def additive_fit_residual(M: np.ndarray) -> float:
+    """Sup-norm residual of the least-squares fit M ~ a_i + b_j, solved by
+    np.linalg.lstsq on the 2n-column design of row and column indicators
+    (rank 2n - 1; lstsq takes the minimum-norm solution)."""
+    n = M.shape[0]
+    eye = np.eye(n)
+    X = np.hstack((np.repeat(eye, n, axis=0), np.tile(eye, (n, 1))))
+    coef = np.linalg.lstsq(X, M.ravel(), rcond=None)[0]
+    return float(np.max(np.abs(M.ravel() - X @ coef)))
+
+
 def sample_checkerboard(masses: np.ndarray, count: int, seed: int):
     """Draw (u, v) pairs from a checkerboard density: pick a cell by mass,
     then uniform within the cell."""

@@ -27,19 +27,19 @@ class TestConcordancePotential:
     def test_matches_brute_force(self, n):
         rng = np.random.default_rng(n)
         m = random_checkerboard(rng, n)
-        S = concordance_potential(CheckerboardDensity(n, m)).values
+        S = concordance_potential(CheckerboardDensity(n, m))
         assert np.max(np.abs(S - brute_potential(m))) <= 1e-12
 
     def test_values_bounded(self):
         rng = np.random.default_rng(3)
         for n in (2, 5, 9):
             m = random_checkerboard(rng, n)
-            S = concordance_potential(CheckerboardDensity(n, m)).values
+            S = concordance_potential(CheckerboardDensity(n, m))
             assert S.min() >= -1.0 - 1e-12 and S.max() <= 1.0 + 1e-12
 
     def test_uniform_is_separable_rank_one(self):
         n = 4
-        S = concordance_potential(uniform_checkerboard(n)).values
+        S = concordance_potential(uniform_checkerboard(n))
         s = (2.0 * np.arange(1, n + 1) - 1.0 - n) / n
         np.testing.assert_allclose(S, np.outer(s, s), atol=1e-14)
         assert np.max(np.abs(S - brute_potential(uniform_checkerboard(n).masses))) <= 1e-14
@@ -47,7 +47,7 @@ class TestConcordancePotential:
     def test_diagonal_two_by_two(self):
         # brute-force enumeration with sgn(0) = 0: only the opposite
         # diagonal cell contributes to each diagonal entry
-        S = concordance_potential(diag_half()).values
+        S = concordance_potential(diag_half())
         np.testing.assert_allclose(S, brute_potential(diag_half().masses), atol=1e-15)
         np.testing.assert_allclose(S, np.array([[0.5, 0.0], [0.0, 0.5]]), atol=1e-15)
 
@@ -57,7 +57,7 @@ class TestConcordancePotential:
             n = int(rng.integers(2, 8))
             m = random_checkerboard(rng, n)
             c = CheckerboardDensity(n, m)
-            S = concordance_potential(c).values
+            S = concordance_potential(c)
             assert float(np.sum(m * S)) == pytest.approx(
                 kendall_tau_checkerboard(c), abs=1e-12
             )
@@ -68,7 +68,7 @@ class TestConcordancePotential:
         n = 4
         rng = np.random.default_rng(12)
         m = random_checkerboard(rng, n)
-        S = concordance_potential(CheckerboardDensity(n, m)).values
+        S = concordance_potential(CheckerboardDensity(n, m))
         eps = 1e-7
         # move eps of mass around a 2x2 cycle to preserve marginals
         for (i, j, k, l) in [(0, 0, 1, 1), (0, 2, 3, 3), (2, 1, 3, 0)]:

@@ -1,4 +1,5 @@
 import json
+import time
 from dataclasses import fields
 from functools import lru_cache
 
@@ -24,6 +25,7 @@ from frankmick import mick_solver
 from frankmick.errors import DivergenceDetected, NoConvergence, TauInfeasible
 
 from _oracles import (
+    additive_fit_residual,
     damped_fixed_point,
     projected_gradient_mick,
     random_feasible_with_tau,
@@ -121,6 +123,23 @@ class TestInnerFixedPoint:
         state = inner_fixed_point(make_state(64), lam, cfg)
         assert state.inner_iterations <= 20
 
+    def test_stops_at_first_step_within_tol_fix(self):
+        lam = theta_from_tau(0.307, 1e-10).theta / 4.0
+        cfg = SolverConfig(n=4, target_tau=0.307)
+
+        def residual(state):
+            m = state.density.masses
+            return additive_fit_residual(
+                np.log(m) - 2.0 * lam * _potential_from_masses(m)
+            )
+
+        state = inner_fixed_point(make_state(4), lam, cfg)
+        k = state.inner_iterations
+        assert k <= 8
+        assert residual(state) <= cfg.tol_fix
+        capped = SolverConfig(n=4, target_tau=0.307, max_inner=k - 1)
+        assert residual(inner_fixed_point(make_state(4), lam, capped)) > cfg.tol_fix
+
     @pytest.mark.parametrize("n, lam", [(64, 0.75), (16, 14.12)])
     def test_matches_damped_reference(self, n, lam):
         cfg = SolverConfig(n=n, target_tau=0.3)
@@ -140,6 +159,17 @@ class TestOuterSearch:
         assert kendall_tau_checkerboard(state.density) == pytest.approx(
             0.01, abs=1e-6
         )
+
+    def test_infeasible_target_raises_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(TauInfeasible):
+            outer_multiplier_search(SolverConfig(n=4, target_tau=0.9))
+        assert time.perf_counter() - start < 0.1
+
+    def test_zero_target_is_uniform(self):
+        lam, state = outer_multiplier_search(SolverConfig(n=5, target_tau=0.0))
+        assert lam == 0.0
+        assert np.array_equal(state.density.masses, uniform_checkerboard(5).masses)
 
     def test_tau_monotone_in_multiplier(self):
         cfg = SolverConfig(n=6, target_tau=0.3)
@@ -226,6 +256,17 @@ class TestSolveMick:
             kendall_tau_checkerboard(diag), abs=1e-15
         )
 
+    def test_tau_max_closed_form(self):
+        for n in range(1, 600):
+            assert tau_max_for_grid(n) == (n - 1) / n
+
+    # the summed tau of the diagonal board drifts from (n - 1) / n by
+    # round-off as n grows (8.5e-15 at n = 590), the closed form does not
+    @pytest.mark.parametrize("n", [2, 3, 7, 16, 64, 100])
+    def test_tau_max_matches_diagonal_on_many_grids(self, n):
+        diag = CheckerboardDensity(n, np.diag(np.full(n, 1.0 / n)))
+        assert abs(tau_max_for_grid(n) - kendall_tau_checkerboard(diag)) <= 1e-15
+
     def test_no_convergence_carries_best_report(self):
         cfg = SolverConfig(n=8, target_tau=0.307, tol_tau=1e-14, max_outer=4)
         with pytest.raises(NoConvergence) as err:
@@ -267,6 +308,18 @@ class TestSolveMick:
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 SolverConfig(n=4, target_tau=0.3, multiplier_init=bad)
+
+
+class TestStationarityResidual:
+    def test_report_matches_lstsq_fit(self):
+        report = solve_mick(SolverConfig(n=8, target_tau=0.307))
+        m = report.state.density.masses
+        M = np.log(m) - 2.0 * report.state.multiplier * _potential_from_masses(m)
+        assert abs(report.stationarity_residual - additive_fit_residual(M)) <= 1e-12
+
+    def test_random_matrix_matches_lstsq_fit(self):
+        M = np.random.default_rng(21).normal(size=(9, 9))
+        assert abs(mick_solver._residual(M) - additive_fit_residual(M)) <= 1e-12
 
 
 class TestSolverReportSerialization:
