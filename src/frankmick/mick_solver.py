@@ -25,9 +25,12 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .copula_core import (
+    CHECKERBOARD_SUPPORT,
     MARGINAL_TOL,
     CheckerboardDensity,
+    FrankParameter,
     _tau_slope,
+    frank_checkerboard,
     theta_from_tau,
     uniform_checkerboard,
 )
@@ -66,6 +69,8 @@ class SolverConfig:
             raise ValueError("target_tau must lie in (-1, 1)")
         if self.tol_tau <= 0.0 or self.tol_fix <= 0.0:
             raise ValueError("tolerances must be strictly positive")
+        if self.max_inner < 1 or self.max_outer < 1:
+            raise ValueError("max_inner and max_outer must be >= 1")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
         if self.multiplier_init != "auto":
@@ -126,24 +131,37 @@ def sinkhorn_project(kernel) -> CheckerboardDensity:
     """Scale a positive kernel to uniform 1/n marginals.
 
     Returns D_r . kernel . D_c; cross-ratios of the kernel are preserved
-    exactly.  Each sweep sets r, then c, so the columns are exact and the
-    row residual max|r * (K c) - 1/n| is read off the ``K @ c`` product the
-    next sweep needs anyway; P is built and both marginals checked only
-    once that residual is within MARGINAL_TOL.  A kernel that already
-    carries its column scaling (a warm start) therefore needs few sweeps.
-    When the sweeps contract slowly -- a sweep shrinks the row residual by
-    less than a factor _NEWTON_RATIO -- and n <= _NEWTON_MAX_N, the
-    projection switches once to a Newton finish on the log-scalings
-    (_newton_finish) from the current r and c, with the same exit test on
-    both marginals.  If its line search stalls first, the sweeps resume
-    from its last scalings and never switch again.  Raises NotConverged
-    for badly scaled kernels.
+    exactly.  The masses are those of _sinkhorn at tolerance MARGINAL_TOL,
+    which describes the sweeps and the Newton finish; inner_fixed_point
+    calls _sinkhorn itself, at a tighter tolerance and without building a
+    CheckerboardDensity per step.  Raises ValueError for a kernel that is
+    not square, finite and positive, and NotConverged for badly scaled
+    kernels.
     """
     K = np.asarray(kernel, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError("kernel must be a square matrix")
     if not np.all(np.isfinite(K)) or np.any(K <= 0.0):
         raise ValueError("kernel entries must be finite and > 0")
+    return CheckerboardDensity(K.shape[0], _sinkhorn(K, MARGINAL_TOL))
+
+
+def _sinkhorn(K, tol):
+    """Masses D_r K D_c whose row and column sums are within tol of 1/n.
+
+    Each sweep sets r, then c, so the columns are exact and the row
+    residual max|r * (K c) - 1/n| is read off the ``K @ c`` product the
+    next sweep needs anyway; P is built and both marginals checked only
+    once that residual is within tol.  A kernel that already carries its
+    column scaling (a warm start) therefore needs few sweeps.  When the
+    sweeps contract slowly -- a sweep shrinks the row residual by less
+    than a factor _NEWTON_RATIO -- and n <= _NEWTON_MAX_N, the projection
+    switches once to a Newton finish on the log-scalings (_newton_finish)
+    from the current r and c, with the same exit test on both marginals.
+    If its line search stalls first, the sweeps resume from its last
+    scalings and never switch again.  Raises NotConverged after
+    _SINKHORN_CAP sweeps.
+    """
     n = K.shape[0]
     target = 1.0 / n
     c = np.ones(n)
@@ -155,32 +173,32 @@ def sinkhorn_project(kernel) -> CheckerboardDensity:
         c = target / (K.T @ r)
         Kc = K @ c
         resid = np.abs(r * Kc - target).max()
-        if resid <= MARGINAL_TOL:
+        if resid <= tol:
             P = r[:, None] * K * c[None, :]
             err = max(
                 np.max(np.abs(P.sum(axis=1) - target)),
                 np.max(np.abs(P.sum(axis=0) - target)),
             )
-            if err <= MARGINAL_TOL:
-                return CheckerboardDensity(n, P)
+            if err <= tol:
+                return P
         if newton and resid > _NEWTON_RATIO * prev_resid:
             newton = False
-            P, c = _newton_finish(K, r, c)
+            P, c = _newton_finish(K, r, c, tol)
             if P is not None:
-                return CheckerboardDensity(n, P)
+                return P
             Kc = K @ c
         prev_resid = resid
     raise NotConverged(
-        f"Sinkhorn scaling did not reach {MARGINAL_TOL} in {_SINKHORN_CAP} sweeps"
+        f"Sinkhorn scaling did not reach {tol} in {_SINKHORN_CAP} sweeps"
     )
 
 
-def _newton_finish(K, r, c):
+def _newton_finish(K, r, c, tol=MARGINAL_TOL):
     """Sinkhorn-Newton (Brauer, Clason, Lorenz & Wirth 2017) on (log r, log c).
 
-    Returns (P, c) with P = D_r K D_c once both marginals are within
-    MARGINAL_TOL, or (None, c) with the last accepted column scaling when
-    the line search stalls.  c[0] is held fixed as the gauge, so each step
+    Returns (P, c) with P = D_r K D_c once both marginals are within tol,
+    or (None, c) with the last accepted column scaling when the line
+    search stalls.  c[0] is held fixed as the gauge, so each step
     solves the (2n - 1)^2 system [[diag(row sums), P], [P^T, diag(col
     sums)]] without the row and column of c[0]; a step is halved until the
     L1 marginal error falls.
@@ -191,7 +209,7 @@ def _newton_finish(K, r, c):
     sums = np.concatenate((P.sum(axis=1), P.sum(axis=0)))  # rows, then columns
     for _ in range(_NEWTON_STEPS):
         dev = sums - target
-        if np.abs(dev).max() <= MARGINAL_TOL:
+        if np.abs(dev).max() <= tol:
             return P, c
         B = P[:, 1:]
         J = np.block([[np.diag(sums[:n]), B], [B.T, np.diag(sums[n + 1 :])]])
@@ -262,16 +280,24 @@ def inner_fixed_point(
     starting masses.  beta = log q[0, :] - L[0, :] is the column scaling
     that took L to q; adding it to the next L warm-starts the projection.
     Stops at the first q whose stationarity residual max|center(log q -
-    2 lambda_d S(q))| is within cfg.tol_fix -- q is projected, so it also
-    meets the marginals -- or after cfg.max_inner iterations.  The
-    returned state carries the row and column potentials of its masses
-    (the row and column means of log q - 2 lambda_d S(q), less the grand
-    mean) and the iteration count.
+    2 lambda_d S(q))| is within tol_in = min(cfg.tol_fix, cfg.tol_tau), or
+    after cfg.max_inner iterations.  Each q is projected by _sinkhorn to
+    tol_p = max(1e-14, min(MARGINAL_TOL, 0.01 tol_in / max(1, 2|lambda_d|))):
+    a marginal error delta moves the residual by about 2 |lambda_d| delta,
+    so with projections stopped at MARGINAL_TOL the residual has a noise
+    floor of several 1e-9 at lambda_d = 29, and the iteration wandered in
+    it for tens to hundreds of steps.  The masses are validated once, as
+    the returned state's density, which also carries the row and column
+    potentials of its masses (the row and column means of log q -
+    2 lambda_d S(q), less the grand mean) and the iteration count.
     """
     p = state.density.masses
     if np.any(p <= 0.0):
         raise DivergenceDetected("initial density must be strictly positive")
     d = cfg.damping
+    tol_in = min(cfg.tol_fix, cfg.tol_tau)
+    tol_p = 0.01 * tol_in / max(1.0, 2.0 * abs(lambda_d))
+    tol_p = max(1e-14, min(MARGINAL_TOL, tol_p))
     iterations = 0
     log_p = np.log(p)
     T = 2.0 * lambda_d * _potential_from_masses(p)  # 2 lambda_d S(p)
@@ -286,13 +312,13 @@ def inner_fixed_point(
             raise DivergenceDetected(
                 f"kernel underflowed at multiplier {lambda_d}"
             )
-        q = sinkhorn_project(kernel).masses
+        q = _sinkhorn(kernel, tol_p)
         if q.min() <= 0.0:
             raise DivergenceDetected("cell mass underflowed to zero")
         p, log_p = q, np.log(q)
         beta = log_p[0] - L[0]
         T = 2.0 * lambda_d * _potential_from_masses(p)
-        if _residual(log_p - T) <= cfg.tol_fix:
+        if _residual(log_p - T) <= tol_in:
             break
         G = _center((1.0 - d) * log_p + d * T)
         F = G - L
@@ -351,7 +377,11 @@ def solve_mick(cfg: SolverConfig) -> SolverReport:
     point warm-started from the previous one's masses.  Running past
     |lambda| = 200 unbracketed raises BracketFailure with the achieved tau
     range; using up cfg.max_outer evaluations raises NoConvergence
-    carrying the report of the closest tau.
+    carrying the report of the closest tau.  With multiplier_init "auto"
+    the first evaluation starts from the Frank checkerboard at theta(tau)
+    -- the paper's answer, within O(n^-2) of the discrete one -- when
+    |theta(tau)| <= CHECKERBOARD_SUPPORT, and otherwise, as with an
+    explicit multiplier_init, from the uniform board.
     """
     target = cfg.target_tau
     if target == 0.0:
@@ -364,8 +394,12 @@ def solve_mick(cfg: SolverConfig) -> SolverReport:
             f"|tau| = {abs(target)} is not attainable on an "
             f"n = {cfg.n} grid (max {limit})"
         )
+    start = uniform_checkerboard(cfg.n)
     if cfg.multiplier_init == "auto":
-        lam = theta_from_tau(target, 1e-10).theta / 4.0
+        theta = theta_from_tau(target, 1e-10).theta
+        lam = theta / 4.0
+        if abs(theta) <= CHECKERBOARD_SUPPORT:
+            start = frank_checkerboard(FrankParameter(theta), cfg.n)
     else:
         lam = float(cfg.multiplier_init)
 
@@ -387,7 +421,7 @@ def solve_mick(cfg: SolverConfig) -> SolverReport:
 
     # first slope dtau/dlambda: the Frank bridge's, tau'(theta) at theta = 4 lambda
     slope = 4.0 * _tau_slope(4.0 * lam)
-    tau, state = evaluate(lam, uniform_checkerboard(cfg.n))
+    tau, state = evaluate(lam, start)
     best = (abs(tau - target), lam, tau, state)
     lo = hi = None  # multipliers whose tau fell below / above the target
     while abs(tau - target) > cfg.tol_tau:

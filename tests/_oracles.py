@@ -133,6 +133,22 @@ def additive_fit_residual(M: np.ndarray) -> float:
     return float(np.max(np.abs(M.ravel() - X @ coef)))
 
 
+def discrete_liouville_residual(p: np.ndarray, lam: float) -> float:
+    """max |Delta^2 log p - 2 lam (2x2 block sums of p)| over interior nodes.
+
+    Delta^2 f_ij = f_ij - f_i,j+1 - f_i+1,j + f_i+1,j+1.  The mixed second
+    difference of the concordance potential S is the 2x2 block sum of the
+    masses, and that of any const + a_i + b_j is zero, so stationarity
+    log p = const + a_i + b_j + 2 lam S(p) implies this discrete form of
+    the Liouville equation (log c)_uv = 2 theta c at theta = 4 lam.  It
+    uses the masses alone: no potential, no row or column terms.
+    """
+    log_p = np.log(p)
+    d2 = log_p[:-1, :-1] - log_p[:-1, 1:] - log_p[1:, :-1] + log_p[1:, 1:]
+    block = p[:-1, :-1] + p[:-1, 1:] + p[1:, :-1] + p[1:, 1:]
+    return float(np.max(np.abs(d2 - 2.0 * lam * block)))
+
+
 def sample_checkerboard(masses: np.ndarray, count: int, seed: int):
     """Draw (u, v) pairs from a checkerboard density: pick a cell by mass,
     then uniform within the cell."""

@@ -8,6 +8,7 @@ import pytest
 
 from frankmick import (
     CheckerboardDensity,
+    FrankParameter,
     SolverConfig,
     SolverReport,
     SolverState,
@@ -15,6 +16,7 @@ from frankmick import (
     kendall_tau_checkerboard,
     outer_multiplier_search,
     sinkhorn_project,
+    frank_checkerboard,
     solve_mick,
     tau_max_for_grid,
     theta_from_tau,
@@ -22,11 +24,14 @@ from frankmick import (
 )
 from frankmick.concordance import _potential_from_masses
 from frankmick import mick_solver
+from frankmick.copula_core import CHECKERBOARD_SUPPORT, MARGINAL_TOL
 from frankmick.errors import DivergenceDetected, NoConvergence, TauInfeasible
 
 from _oracles import (
     additive_fit_residual,
+    brute_potential,
     damped_fixed_point,
+    discrete_liouville_residual,
     projected_gradient_mick,
     random_feasible_with_tau,
     sinkhorn_sweeps,
@@ -189,6 +194,15 @@ class TestOuterSearch:
         assert report.converged
         assert abs(report.achieved_tau - 0.307) <= 1e-11
 
+    def test_tighter_tau_tolerance_at_higher_tau_converges(self):
+        # inner solves stopped at tol_fix = 1e-9 on projections stopped at
+        # MARGINAL_TOL return a tau too noisy for the secant to land within
+        # 1e-12: it used up its 60 evaluations
+        cfg = SolverConfig(n=256, target_tau=0.6, tol_tau=1e-12)
+        report = solve_mick(cfg)
+        assert report.converged
+        assert abs(report.achieved_tau - 0.6) <= 1e-12
+
     def test_exhausted_before_bracket_is_no_convergence(self):
         # from lambda = 0 the capped first step stays below the target
         cfg = SolverConfig(n=8, target_tau=0.307, max_outer=2, multiplier_init=0.0)
@@ -303,6 +317,16 @@ class TestSolveMick:
             SolverConfig(n=4, target_tau=0.3, damping=0.0)
         with pytest.raises(ValueError):
             SolverConfig(n=4, target_tau=0.3, tol_tau=-1.0)
+
+    @pytest.mark.parametrize(
+        "limit, value",
+        [("max_inner", 0), ("max_inner", -5), ("max_outer", 0), ("max_outer", -1)],
+    )
+    def test_iteration_limit_below_one_rejected(self, limit, value):
+        # max_inner = 0 used to march lambda to a BracketFailure, and
+        # max_outer = 0 to report "exhausted 0 evaluations" after one
+        with pytest.raises(ValueError):
+            SolverConfig(n=8, target_tau=0.307, **{limit: value})
 
     def test_nonfinite_multiplier_init_rejected(self):
         for bad in (float("nan"), float("inf")):
@@ -436,6 +460,22 @@ class TestNewtonFinish:
         assert np.max(np.abs(P - sinkhorn_sweeps(K))) <= 1e-12
 
     @pytest.mark.parametrize("name", sorted(SLOW_KERNELS))
+    def test_tight_tolerance_met(self, name):
+        # the inner fixed point projects below MARGINAL_TOL, down to 1e-14
+        K = SLOW_KERNELS[name]()
+        n = K.shape[0]
+        P = mick_solver._sinkhorn(K, 1e-14)
+        assert np.max(np.abs(P.sum(axis=0) - 1 / n)) <= 1e-14
+        assert np.max(np.abs(P.sum(axis=1) - 1 / n)) <= 1e-14
+        assert np.max(np.abs(P - sinkhorn_sweeps(K))) <= 1e-13
+
+    def test_projection_is_private_layer_at_marginal_tol(self):
+        K = high_theta_kernel()
+        assert np.array_equal(
+            sinkhorn_project(K).masses, mick_solver._sinkhorn(K, MARGINAL_TOL)
+        )
+
+    @pytest.mark.parametrize("name", sorted(SLOW_KERNELS))
     def test_newton_alone_from_far_start(self, name):
         # from masses far too small, full steps overshoot: the line search
         # has to hold them back
@@ -448,7 +488,7 @@ class TestNewtonFinish:
     def test_stalled_newton_falls_back_once(self, monkeypatch):
         calls = []
 
-        def stalled(K, r, c):
+        def stalled(K, r, c, tol):
             calls.append(1)
             return None, c
 
@@ -490,7 +530,7 @@ class TestInnerStepWork:
         return calls
 
     def test_one_projection_per_step(self, monkeypatch):
-        calls = self.count_calls(monkeypatch, "sinkhorn_project")
+        calls = self.count_calls(monkeypatch, "_sinkhorn")
         state = inner_fixed_point(make_state(8), 1.0, SolverConfig(n=8, target_tau=0.3))
         assert len(calls) == state.inner_iterations
 
@@ -542,3 +582,89 @@ class TestHighTau:
     def test_few_outer_evaluations(self):
         report, _ = high_tau_solve(16, 0.9)
         assert report.converged and report.outer_iterations <= 8
+
+
+def bridge_multiplier(tau):
+    return theta_from_tau(tau, 1e-10).theta / 4.0
+
+
+@lru_cache(maxsize=None)
+def start_pair(n, tau):
+    """Reports of the default solve, which starts on the Frank checkerboard,
+    and of the same first multiplier given explicitly, which starts on the
+    uniform board."""
+    frank = solve_mick(SolverConfig(n=n, target_tau=tau))
+    uniform = solve_mick(
+        SolverConfig(n=n, target_tau=tau, multiplier_init=bridge_multiplier(tau))
+    )
+    return frank, uniform
+
+
+START_POINTS = [
+    (4, 0.307), (64, 0.307), (64, -0.6), (16, 0.9), (32, 0.95), (128, 0.93)
+]
+
+
+class TestFrankStart:
+    def first_start(self, monkeypatch, cfg):
+        """The masses the first inner solve of solve_mick(cfg) starts from."""
+
+        class Started(Exception):
+            pass
+
+        def record(state, lambda_d, cfg):
+            raise Started(state.density.masses)
+
+        monkeypatch.setattr(mick_solver, "inner_fixed_point", record)
+        with pytest.raises(Started) as err:
+            solve_mick(cfg)
+        return err.value.args[0]
+
+    def test_auto_starts_on_frank_board(self, monkeypatch):
+        board = frank_checkerboard(FrankParameter(4.0 * bridge_multiplier(0.6)), 16)
+        start = self.first_start(monkeypatch, SolverConfig(n=16, target_tau=0.6))
+        assert np.array_equal(start, board.masses)
+
+    def test_explicit_multiplier_starts_uniform(self, monkeypatch):
+        cfg = SolverConfig(n=16, target_tau=0.6, multiplier_init=2.0)
+        start = self.first_start(monkeypatch, cfg)
+        assert np.array_equal(start, uniform_checkerboard(16).masses)
+
+    def test_beyond_checkerboard_support_starts_uniform(self, monkeypatch):
+        assert 4.0 * bridge_multiplier(0.99) > CHECKERBOARD_SUPPORT
+        start = self.first_start(monkeypatch, SolverConfig(n=128, target_tau=0.99))
+        assert np.array_equal(start, uniform_checkerboard(128).masses)
+
+    @pytest.mark.parametrize("n, tau", START_POINTS)
+    def test_start_does_not_change_the_answer(self, n, tau):
+        # the problem is non-convex: both starts must reach the same point
+        frank, uniform = start_pair(n, tau)
+        assert frank.converged and uniform.converged
+        gap = frank.state.density.masses - uniform.state.density.masses
+        assert np.max(np.abs(gap)) <= 1e-10
+        assert abs(frank.implied_theta - uniform.implied_theta) <= 1e-8
+
+    @pytest.mark.parametrize("n, tau", START_POINTS)
+    def test_discrete_liouville_equation(self, n, tau):
+        tol_fix = SolverConfig(n=n, target_tau=tau).tol_fix
+        for report in start_pair(n, tau):
+            m, lam = report.state.density.masses, report.state.multiplier
+            assert discrete_liouville_residual(m, lam) <= 4 * tol_fix
+
+    # 219 and 386 inner steps from the uniform board with every projection
+    # stopped at MARGINAL_TOL
+    @pytest.mark.parametrize("n, tau, cap", [(32, 0.95, 120), (128, 0.93, 80)])
+    def test_inner_steps_capped(self, n, tau, cap):
+        frank, _ = start_pair(n, tau)
+        assert frank.inner_iterations_total <= cap
+
+    def test_liouville_oracle(self):
+        # the mixed second difference of S is the 2x2 block sum of masses
+        m = np.random.default_rng(23).random((7, 7))
+        S = brute_potential(m)
+        d2 = S[:-1, :-1] - S[:-1, 1:] - S[1:, :-1] + S[1:, 1:]
+        block = m[:-1, :-1] + m[:-1, 1:] + m[1:, :-1] + m[1:, 1:]
+        assert np.max(np.abs(d2 - block)) <= 1e-14
+        # the Frank checkerboard itself is only O(n^-2) from stationary
+        board = frank_checkerboard(FrankParameter(3.0), 16).masses
+        assert discrete_liouville_residual(board, 0.75) > 1e-6
