@@ -34,7 +34,7 @@ from .copula_core import (
     theta_from_tau,
     uniform_checkerboard,
 )
-from .concordance import _potential_from_masses, kendall_tau_checkerboard
+from .concordance import _potential_from_masses
 from .errors import (
     BracketFailure,
     DivergenceDetected,
@@ -289,7 +289,10 @@ def inner_fixed_point(
     it for tens to hundreds of steps.  The masses are validated once, as
     the returned state's density, which also carries the row and column
     potentials of its masses (the row and column means of log q -
-    2 lambda_d S(q), less the grand mean) and the iteration count.
+    2 lambda_d S(q), less the grand mean) and the iteration count.  The
+    returned state also holds, as the private attribute ``_exit``, the
+    last q's tau = sum q S(q) and stationarity residual, which solve_mick
+    reads instead of computing S(q) again.
     """
     p = state.density.masses
     if np.any(p <= 0.0):
@@ -317,8 +320,10 @@ def inner_fixed_point(
             raise DivergenceDetected("cell mass underflowed to zero")
         p, log_p = q, np.log(q)
         beta = log_p[0] - L[0]
-        T = 2.0 * lambda_d * _potential_from_masses(p)
-        if _residual(log_p - T) <= tol_in:
+        S = _potential_from_masses(p)
+        T = 2.0 * lambda_d * S
+        resid = _residual(log_p - T)
+        if resid <= tol_in:
             break
         G = _center((1.0 - d) * log_p + d * T)
         F = G - L
@@ -330,13 +335,15 @@ def inner_fixed_point(
         G_prev, F_prev = G, F
         L = _anderson_step(G, F, dG, dF)
     M = log_p - T
-    return SolverState(
+    state = SolverState(
         density=CheckerboardDensity(p.shape[0], p),
         multiplier=lambda_d,
         row_potentials=M.mean(axis=1) - M.mean(),
         col_potentials=M.mean(axis=0) - M.mean(),
         inner_iterations=iterations,
     )
+    object.__setattr__(state, "_exit", (float(np.sum(p * S)), resid))
+    return state
 
 
 def tau_max_for_grid(n: int) -> float:
@@ -347,9 +354,31 @@ def tau_max_for_grid(n: int) -> float:
     return (n - 1) / n
 
 
-def _assemble_report(state, lam, tau, cfg, outer, inner_total) -> SolverReport:
-    m = state.density.masses
-    resid = _residual(np.log(m) - 2.0 * lam * _potential_from_masses(m))
+def _frank_board(lam: float, n: int) -> CheckerboardDensity | None:
+    """F(4 lam): the Frank checkerboard at theta = 4 lam, the uniform board
+    at lam = 0, and None beyond CHECKERBOARD_SUPPORT."""
+    theta = 4.0 * lam
+    if abs(theta) > CHECKERBOARD_SUPPORT:
+        return None
+    if theta == 0.0:
+        return uniform_checkerboard(n)
+    return frank_checkerboard(FrankParameter(theta), n)
+
+
+def _transport(p: CheckerboardDensity, old, new) -> CheckerboardDensity:
+    """Sinkhorn(p * new / old): p carried from the multiplier of the
+    _frank_board old to that of new (see solve_mick).  Returns p itself
+    when either board is None or a kernel cell underflows to 0 (within
+    CHECKERBOARD_SUPPORT the boards' ratio stays finite)."""
+    if old is None or new is None:
+        return p
+    kernel = p.masses * (new.masses / old.masses)
+    if not kernel.min() > 0.0:
+        return p
+    return CheckerboardDensity(p.n, _sinkhorn(kernel, MARGINAL_TOL))
+
+
+def _assemble_report(state, tau, resid, cfg, outer, inner_total) -> SolverReport:
     converged = abs(tau - cfg.target_tau) <= cfg.tol_tau and resid <= cfg.tol_fix
     return SolverReport(
         state=state,
@@ -358,7 +387,7 @@ def _assemble_report(state, lam, tau, cfg, outer, inner_total) -> SolverReport:
         outer_iterations=outer,
         inner_iterations_total=inner_total,
         converged=converged,
-        implied_theta=4.0 * lam,
+        implied_theta=4.0 * state.multiplier,
     )
 
 
@@ -374,14 +403,23 @@ def solve_mick(cfg: SolverConfig) -> SolverReport:
     |lambda| / 2); once the target is bracketed, a guess outside the
     bracket becomes its midpoint, and a non-positive slope falls back to a
     capped step toward the target.  Each evaluation is an inner fixed
-    point warm-started from the previous one's masses.  Running past
-    |lambda| = 200 unbracketed raises BracketFailure with the achieved tau
-    range; using up cfg.max_outer evaluations raises NoConvergence
-    carrying the report of the closest tau.  With multiplier_init "auto"
-    the first evaluation starts from the Frank checkerboard at theta(tau)
-    -- the paper's answer, within O(n^-2) of the discrete one -- when
-    |theta(tau)| <= CHECKERBOARD_SUPPORT, and otherwise, as with an
-    explicit multiplier_init, from the uniform board.
+    point.  Running past |lambda| = 200 unbracketed raises BracketFailure
+    with the achieved tau range; using up cfg.max_outer evaluations raises
+    NoConvergence carrying the report of the closest tau.
+
+    With multiplier_init "auto" the first evaluation starts from the Frank
+    checkerboard at theta(tau) -- the paper's answer, within O(n^-2) of the
+    discrete one -- when |theta(tau)| <= CHECKERBOARD_SUPPORT, and
+    otherwise, as with an explicit multiplier_init, from the uniform board.
+    Each later evaluation, at lambda', starts from the previous one's
+    masses p at lambda transported along the Frank boards:
+    Sinkhorn(p F(4 lambda') / F(4 lambda)), F(theta) the Frank checkerboard
+    and F(0) the uniform board (_transport).  As p - F(4 lambda) is
+    O(n^-2), this start misses the solution at lambda' by O(dlambda n^-2 +
+    dlambda^2), not O(dlambda): at (256, 0.307) the second evaluation takes
+    1 inner step instead of 8.  When either |4 lambda| exceeds
+    CHECKERBOARD_SUPPORT, or the kernel underflows, it starts from p.  Each
+    evaluation builds one Frank board and keeps it for the next.
     """
     target = cfg.target_tau
     if target == 0.0:
@@ -394,14 +432,15 @@ def solve_mick(cfg: SolverConfig) -> SolverReport:
             f"|tau| = {abs(target)} is not attainable on an "
             f"n = {cfg.n} grid (max {limit})"
         )
-    start = uniform_checkerboard(cfg.n)
     if cfg.multiplier_init == "auto":
-        theta = theta_from_tau(target, 1e-10).theta
-        lam = theta / 4.0
-        if abs(theta) <= CHECKERBOARD_SUPPORT:
-            start = frank_checkerboard(FrankParameter(theta), cfg.n)
+        lam = theta_from_tau(target, 1e-10).theta / 4.0
     else:
         lam = float(cfg.multiplier_init)
+    board = _frank_board(lam, cfg.n)  # F(4 lambda) of the last evaluation
+    if cfg.multiplier_init == "auto" and board is not None:
+        start = board
+    else:
+        start = uniform_checkerboard(cfg.n)
 
     inner_total = 0
     evals = []  # (lambda, tau)
@@ -411,18 +450,18 @@ def solve_mick(cfg: SolverConfig) -> SolverReport:
         state = inner_fixed_point(
             SolverState(start, lam, np.zeros(cfg.n), np.zeros(cfg.n)), lam, cfg
         )
-        tau = kendall_tau_checkerboard(state.density)
+        tau = state._exit[0]
         inner_total += state.inner_iterations
         evals.append((lam, tau))
         return tau, state
 
-    def report(lam, tau, state):
-        return _assemble_report(state, lam, tau, cfg, len(evals), inner_total)
+    def report(state):
+        return _assemble_report(state, *state._exit, cfg, len(evals), inner_total)
 
     # first slope dtau/dlambda: the Frank bridge's, tau'(theta) at theta = 4 lambda
     slope = 4.0 * _tau_slope(4.0 * lam)
     tau, state = evaluate(lam, start)
-    best = (abs(tau - target), lam, tau, state)
+    best = (abs(tau - target), tau, state)
     lo = hi = None  # multipliers whose tau fell below / above the target
     while abs(tau - target) > cfg.tol_tau:
         if tau < target:
@@ -436,11 +475,11 @@ def solve_mick(cfg: SolverConfig) -> SolverReport:
                 tau_range=(min(taus), max(taus)),
             )
         if len(evals) >= cfg.max_outer:
-            _, lam, tau, state = best
+            _, tau, state = best
             raise NoConvergence(
                 f"outer search exhausted {cfg.max_outer} evaluations "
                 f"(best tau {tau} vs target {target})",
-                report=report(lam, tau, state),
+                report=report(state),
             )
         if len(evals) > 1 and evals[-2][0] != lam:
             slope = (tau - evals[-2][1]) / (lam - evals[-2][0])
@@ -450,10 +489,12 @@ def solve_mick(cfg: SolverConfig) -> SolverReport:
         lam += math.copysign(min(abs(step), cap), target - tau)
         if None not in (lo, hi) and not min(lo, hi) < lam < max(lo, hi):
             lam = 0.5 * (lo + hi)
-        tau, state = evaluate(lam, state.density)
+        new_board = _frank_board(lam, cfg.n)
+        tau, state = evaluate(lam, _transport(state.density, board, new_board))
+        board = new_board
         if abs(tau - target) < best[0]:
-            best = (abs(tau - target), lam, tau, state)
-    return report(lam, tau, state)
+            best = (abs(tau - target), tau, state)
+    return report(state)
 
 
 def outer_multiplier_search(cfg: SolverConfig):

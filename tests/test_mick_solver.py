@@ -668,3 +668,75 @@ class TestFrankStart:
         # the Frank checkerboard itself is only O(n^-2) from stationary
         board = frank_checkerboard(FrankParameter(3.0), 16).masses
         assert discrete_liouville_residual(board, 0.75) > 1e-6
+
+
+class TestTransportedStart:
+    def assert_same_fixed_point(self, report, cfg):
+        """inner_fixed_point from the uniform board at the report's
+        multiplier reproduces the report."""
+        state = inner_fixed_point(make_state(cfg.n), report.state.multiplier, cfg)
+        gap = state.density.masses - report.state.density.masses
+        assert np.max(np.abs(gap)) <= 1e-10
+        tau = kendall_tau_checkerboard(state.density)
+        assert abs(tau - report.achieved_tau) <= 1e-10
+
+    # the problem is non-convex: the transported starts must not select
+    # another stationary point than a cold start at the same multiplier
+    @pytest.mark.parametrize("n, tau", START_POINTS + [(256, 0.307)])
+    def test_answer_is_the_fixed_point_at_its_multiplier(self, n, tau):
+        for report in start_pair(n, tau):
+            assert report.converged
+            self.assert_same_fixed_point(report, SolverConfig(n=n, target_tau=tau))
+
+    def test_mid_sweep_inner_steps(self):
+        # 150 in total and 9 at n = 256 when each evaluation started from
+        # the previous masses untransported
+        grids = (4, 8, 16, 32, 64, 128, 256)
+        reports = {n: solve_mick(SolverConfig(n=n, target_tau=0.307)) for n in grids}
+        assert all(r.converged for r in reports.values())
+        assert [r.outer_iterations for r in reports.values()] == [5, 4, 3, 3, 2, 2, 2]
+        assert sum(r.inner_iterations_total for r in reports.values()) <= 110
+        assert reports[256].inner_iterations_total <= 3
+
+    def test_high_tau_inner_steps(self):
+        frank, _ = start_pair(128, 0.93)  # 40 untransported
+        assert frank.inner_iterations_total <= 32
+
+    @pytest.mark.parametrize("init", ["auto", 0.5])
+    def test_one_frank_board_per_evaluation(self, monkeypatch, init):
+        calls = []
+        original = mick_solver.frank_checkerboard
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(mick_solver, "frank_checkerboard", counted)
+        report = solve_mick(SolverConfig(n=32, target_tau=0.6, multiplier_init=init))
+        assert report.outer_iterations >= 3
+        assert len(calls) <= report.outer_iterations
+
+    def test_transport_of_a_frank_board_is_the_new_board(self):
+        old = frank_checkerboard(FrankParameter(3.0), 16)
+        new = frank_checkerboard(FrankParameter(3.5), 16)
+        moved = mick_solver._transport(old, old, new)
+        assert np.max(np.abs(moved.masses - new.masses)) <= 1e-12
+
+    def test_underflowing_kernel_starts_from_previous_masses(self):
+        tiny = 1e-300
+        p = CheckerboardDensity(2, np.array([[0.5, tiny], [tiny, 0.5]]))
+        old = uniform_checkerboard(2)
+        new = CheckerboardDensity(2, np.array([[0.5, 1e-30], [1e-30, 0.5]]))
+        # tiny * 4e-30 underflows to 0
+        assert mick_solver._transport(p, old, new) is p
+        assert mick_solver._transport(p, None, new) is p
+        assert mick_solver._transport(p, old, None) is p
+
+    def test_path_across_checkerboard_support(self):
+        # lambda goes from theta = 304, beyond the boards, to about 234
+        cfg = SolverConfig(n=64, target_tau=0.975, multiplier_init=76.0)
+        report = solve_mick(cfg)
+        assert report.converged
+        assert abs(report.achieved_tau - 0.975) <= cfg.tol_tau
+        assert 4.0 * 76.0 > CHECKERBOARD_SUPPORT > report.implied_theta
+        self.assert_same_fixed_point(report, cfg)
