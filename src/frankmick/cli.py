@@ -63,9 +63,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = msub.add_parser("solve", help="solve for a target tau")
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol-tau", type=float, default=1e-6)
-    p.add_argument("--tol-fix", type=float, default=1e-9)
-    p.add_argument("--damping", type=float, default=0.5)
+    p.add_argument("--tol-tau", type=float, default=SolverConfig.tol_tau)
+    p.add_argument("--tol-fix", type=float, default=SolverConfig.tol_fix)
+    p.add_argument("--damping", type=float, default=SolverConfig.damping)
     p.add_argument("--out", required=True)
 
     p = msub.add_parser("compare", help="sup-norm gap of a report vs Frank")

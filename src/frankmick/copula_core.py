@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import spence
 
 from .errors import NonInvertible, ThetaOutOfSupport, ZeroTau
 
@@ -254,24 +253,28 @@ _TAU_SLOPE_SERIES = tuple(
 _SERIES_LIMIT = 2.0
 _PI2_6 = math.pi**2 / 6.0
 
+#: Li2(z) = z * sum_k z^{k-1} / k^2; from |x| = _SERIES_LIMIT on z = e^-x
+#: <= e^-2, where the first term left out, z^19/361, is below 1e-19.
+_LI2_SERIES = tuple(1.0 / (k * k) for k in range(1, 19))
 
-def _even_poly(coeffs, x2):
-    """sum_k coeffs[k] x^{2k} by Horner's rule in x2 = x^2."""
+
+def _poly(coeffs, x):
+    """sum_k coeffs[k] x^k by Horner's rule."""
     acc = 0.0
     for c in reversed(coeffs):
-        acc = acc * x2 + c
+        acc = acc * x + c
     return acc
 
 
 def _tau_series(x: float) -> float:
-    return x * _even_poly(_TAU_SERIES, x * x)
+    return x * _poly(_TAU_SERIES, x * x)
 
 
 def _d1_positive(x: float) -> float:
     """D1(x) for x >= _SERIES_LIMIT from the dilogarithm:
     int_0^x t/(e^t - 1) dt = pi^2/6 + x log(1 - e^-x) - Li2(e^-x)."""
     z = math.exp(-x)
-    return (_PI2_6 + x * math.log1p(-z) - float(spence(1.0 - z))) / x
+    return (_PI2_6 + x * math.log1p(-z) - z * _poly(_LI2_SERIES, z)) / x
 
 
 def debye_d1(x: float) -> float:
@@ -304,7 +307,7 @@ def _tau_slope(theta: float) -> float:
     """
     x = abs(float(theta))
     if x < _SERIES_LIMIT:
-        return _even_poly(_TAU_SLOPE_SERIES, x * x)
+        return _poly(_TAU_SLOPE_SERIES, x * x)
     # 1/(e^x - 1) as e^-x / (1 - e^-x), which cannot overflow
     tail = math.exp(-x) / -math.expm1(-x)
     return 4.0 * (1.0 - 2.0 * _d1_positive(x)) / (x * x) + 4.0 * tail / x

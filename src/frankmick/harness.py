@@ -18,8 +18,6 @@ from .copula_core import (
 from .errors import FrankMickError, GridMismatch
 from .mick_solver import SolverConfig, SolverReport, solve_mick
 
-DEFAULT_GRIDS = (4, 8, 16, 32, 64)
-
 
 @dataclass(frozen=True)
 class SweepResult:

@@ -433,7 +433,7 @@ def solve_mick(cfg: SolverConfig) -> SolverReport:
             f"n = {cfg.n} grid (max {limit})"
         )
     if cfg.multiplier_init == "auto":
-        lam = theta_from_tau(target, 1e-10).theta / 4.0
+        lam = theta_from_tau(target).theta / 4.0
     else:
         lam = float(cfg.multiplier_init)
     board = _frank_board(lam, cfg.n)  # F(4 lambda) of the last evaluation
@@ -495,13 +495,3 @@ def solve_mick(cfg: SolverConfig) -> SolverReport:
         if abs(tau - target) < best[0]:
             best = (abs(tau - target), tau, state)
     return report(state)
-
-
-def outer_multiplier_search(cfg: SolverConfig):
-    """Find lambda_d whose fixed-point tau hits cfg.target_tau.
-
-    Returns (lambda_d, state) of solve_mick(cfg), which describes the
-    search and the errors it raises.
-    """
-    report = solve_mick(cfg)
-    return report.state.multiplier, report.state

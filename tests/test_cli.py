@@ -1,9 +1,10 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from frankmick import CheckerboardDensity
+from frankmick import CheckerboardDensity, SolverConfig
 from frankmick.cli import cli_main
 
 
@@ -82,7 +83,7 @@ class TestMickCommands:
         masses = np.array(obj["density"]["masses"])
         assert np.max(np.abs(masses - 1 / 64)) <= 1e-9
         assert obj["converged"] is True
-        assert obj["config"]["n"] == 8
+        assert obj["config"] == asdict(SolverConfig(n=8, target_tau=0.0))
 
     def test_solve_and_compare(self, capsys, tmp_path):
         path = tmp_path / "report.json"

@@ -14,7 +14,6 @@ from frankmick import (
     SolverState,
     inner_fixed_point,
     kendall_tau_checkerboard,
-    outer_multiplier_search,
     sinkhorn_project,
     frank_checkerboard,
     solve_mick,
@@ -155,12 +154,13 @@ class TestInnerFixedPoint:
 
 class TestOuterSearch:
     def test_multiplier_near_quarter_theta(self):
-        lam, _ = outer_multiplier_search(SolverConfig(n=8, target_tau=0.307))
-        assert lam == pytest.approx(0.75, abs=0.2)  # discretization shifts it
+        state = solve_mick(SolverConfig(n=8, target_tau=0.307)).state
+        # discretization shifts it
+        assert state.multiplier == pytest.approx(0.75, abs=0.2)
 
     def test_small_target_small_multiplier(self):
-        lam, state = outer_multiplier_search(SolverConfig(n=6, target_tau=0.01))
-        assert abs(lam) < 0.05
+        state = solve_mick(SolverConfig(n=6, target_tau=0.01)).state
+        assert abs(state.multiplier) < 0.05
         assert kendall_tau_checkerboard(state.density) == pytest.approx(
             0.01, abs=1e-6
         )
@@ -168,12 +168,12 @@ class TestOuterSearch:
     def test_infeasible_target_raises_at_once(self):
         start = time.perf_counter()
         with pytest.raises(TauInfeasible):
-            outer_multiplier_search(SolverConfig(n=4, target_tau=0.9))
+            solve_mick(SolverConfig(n=4, target_tau=0.9))
         assert time.perf_counter() - start < 0.1
 
     def test_zero_target_is_uniform(self):
-        lam, state = outer_multiplier_search(SolverConfig(n=5, target_tau=0.0))
-        assert lam == 0.0
+        state = solve_mick(SolverConfig(n=5, target_tau=0.0)).state
+        assert state.multiplier == 0.0
         assert np.array_equal(state.density.masses, uniform_checkerboard(5).masses)
 
     def test_tau_monotone_in_multiplier(self):
