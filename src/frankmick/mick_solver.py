@@ -46,8 +46,6 @@ from .errors import (
 _SINKHORN_CAP = 50_000
 _ANDERSON_MEMORY = 3  # difference pairs kept by inner_fixed_point
 _ANDERSON_RIDGE = 1e-12  # ridge on its normal equations, relative to their trace
-_NEWTON_RATIO = 0.5  # a sweep shrinking the row residual by less than this ...
-_NEWTON_MAX_N = 64  # ... switches sinkhorn_project to Newton up to this n
 _NEWTON_STEPS = 50  # Newton steps, and halvings of one step, before it gives up
 
 
@@ -146,27 +144,33 @@ def sinkhorn_project(kernel) -> CheckerboardDensity:
     return CheckerboardDensity(K.shape[0], _sinkhorn(K, MARGINAL_TOL))
 
 
-def _sinkhorn(K, tol):
+def _sinkhorn(K, tol, newton=True):
     """Masses D_r K D_c whose row and column sums are within tol of 1/n.
 
     Each sweep sets r, then c, so the columns are exact and the row
     residual max|r * (K c) - 1/n| is read off the ``K @ c`` product the
     next sweep needs anyway; P is built and both marginals checked only
     once that residual is within tol.  A kernel that already carries its
-    column scaling (a warm start) therefore needs few sweeps.  When the
-    sweeps contract slowly -- a sweep shrinks the row residual by less
-    than a factor _NEWTON_RATIO -- and n <= _NEWTON_MAX_N, the projection
-    switches once to a Newton finish on the log-scalings (_newton_finish)
-    from the current r and c, with the same exit test on both marginals.
-    If its line search stalls first, the sweeps resume from its last
-    scalings and never switch again.  Raises NotConverged after
-    _SINKHORN_CAP sweeps.
+    column scaling (a warm start) therefore needs few sweeps.
+
+    When the sweeps contract slowly, the projection switches once to a
+    Newton finish on the log-scalings (_newton_finish) from the current r
+    and c, with the same exit test on both marginals.  It switches when the
+    last sweep's rate, ratio = resid / prev_resid, predicts that the sweeps
+    still need more than budget = max(12, n / 2) sweeps to reach tol
+    (resid * ratio^budget > tol), or when the residual did not shrink.
+    The budget is about what one Newton finish costs: a step
+    (_newton_direction) costs about 4, 6, 12, 30 and 70 sweeps at n = 16,
+    32, 64, 128 and 256, and a finish from a warm start takes about two
+    steps.  If its line search stalls first, the sweeps resume from its
+    last scalings and never switch again; newton=False never switches.
+    Raises NotConverged after _SINKHORN_CAP sweeps.
     """
     n = K.shape[0]
     target = 1.0 / n
     c = np.ones(n)
     Kc = K @ c
-    newton = n <= _NEWTON_MAX_N
+    budget = max(12.0, 0.5 * n)
     prev_resid = math.inf
     for _ in range(_SINKHORN_CAP):
         r = target / Kc
@@ -181,16 +185,41 @@ def _sinkhorn(K, tol):
             )
             if err <= tol:
                 return P
-        if newton and resid > _NEWTON_RATIO * prev_resid:
-            newton = False
-            P, c = _newton_finish(K, r, c, tol)
-            if P is not None:
-                return P
-            Kc = K @ c
+        if newton:
+            ratio = resid / prev_resid
+            if ratio >= 1.0 or resid * ratio**budget > tol:
+                newton = False
+                P, c = _newton_finish(K, r, c, tol)
+                if P is not None:
+                    return P
+                Kc = K @ c
         prev_resid = resid
     raise NotConverged(
         f"Sinkhorn scaling did not reach {tol} in {_SINKHORN_CAP} sweeps"
     )
+
+
+def _newton_direction(P, sums):
+    """Sinkhorn-Newton step (dx, dy) on (log r, log c) at masses P.
+
+    sums holds P's row sums rho, then its column sums kappa.  c[0] is the
+    gauge (dy[0] = 0), so the step solves [[diag(rho), B], [B^T,
+    diag(kappa[1:])]] (dx, dy[1:]) = -(dev_r, dev_c[1:]), B = P[:, 1:] and
+    dev the marginal deviations from 1/n, through its (n - 1)^2 Schur
+    complement Sc = diag(kappa[1:]) - B^T W with W = B / rho, which is
+    symmetric positive definite: Sc dy[1:] = W^T dev_r - dev_c[1:], then
+    dx = -(dev_r + B dy[1:]) / rho.  Raises LinAlgError when Sc is singular.
+    """
+    n = P.shape[0]
+    dev = sums - 1.0 / n
+    rho, dev_r = sums[:n], dev[:n]
+    B = P[:, 1:]
+    W = B / rho[:, None]
+    Sc = -(B.T @ W)
+    Sc.flat[::n] += sums[n + 1 :]
+    dy = np.linalg.solve(Sc, W.T @ dev_r - dev[n + 1 :])
+    dx = -(dev_r + B @ dy) / rho
+    return dx, np.concatenate(([0.0], dy))
 
 
 def _newton_finish(K, r, c, tol=MARGINAL_TOL):
@@ -198,37 +227,34 @@ def _newton_finish(K, r, c, tol=MARGINAL_TOL):
 
     Returns (P, c) with P = D_r K D_c once both marginals are within tol,
     or (None, c) with the last accepted column scaling when the line
-    search stalls.  c[0] is held fixed as the gauge, so each step
-    solves the (2n - 1)^2 system [[diag(row sums), P], [P^T, diag(col
-    sums)]] without the row and column of c[0]; a step is halved until the
+    search stalls or a step's system is singular.  Each step is
+    _newton_direction, with c[0] held fixed as the gauge, halved until the
     L1 marginal error falls.
     """
     n = K.shape[0]
     target = 1.0 / n
     P = r[:, None] * K * c[None, :]
     sums = np.concatenate((P.sum(axis=1), P.sum(axis=0)))  # rows, then columns
+    miss = np.abs(sums - target)
     for _ in range(_NEWTON_STEPS):
-        dev = sums - target
-        if np.abs(dev).max() <= tol:
+        if miss.max() <= tol:
             return P, c
-        B = P[:, 1:]
-        J = np.block([[np.diag(sums[:n]), B], [B.T, np.diag(sums[n + 1 :])]])
         try:
-            d = np.linalg.solve(J, -np.delete(dev, n))
+            dx, dy = _newton_direction(P, sums)
         except np.linalg.LinAlgError:
             return None, c
-        dx, dy = d[:n], np.concatenate(([0.0], d[n:]))
-        err, step = np.abs(dev).sum(), 1.0
+        err, step = miss.sum(), 1.0
         for _ in range(_NEWTON_STEPS):
             r_t, c_t = r * np.exp(step * dx), c * np.exp(step * dy)
             P_t = r_t[:, None] * K * c_t[None, :]
             sums_t = np.concatenate((P_t.sum(axis=1), P_t.sum(axis=0)))
-            if np.abs(sums_t - target).sum() < err:
+            miss_t = np.abs(sums_t - target)
+            if miss_t.sum() < err:
                 break
             step *= 0.5
         else:
             return None, c
-        r, c, P, sums = r_t, c_t, P_t, sums_t
+        r, c, P, sums, miss = r_t, c_t, P_t, sums_t, miss_t
     return None, c
 
 

@@ -122,6 +122,19 @@ def sinkhorn_sweeps(kernel, tol=1e-14, max_sweeps=100_000):
     raise RuntimeError(f"Sinkhorn sweeps did not reach {tol}")
 
 
+def newton_block_step(P):
+    """Sinkhorn-Newton direction (dx, dy) on (log r, log c) at masses P by a
+    dense solve of the full (2n - 1)^2 block system [[diag(row sums), P],
+    [P^T, diag(column sums)]] without the row and column of the gauge c[0];
+    dy[0] = 0."""
+    n = P.shape[0]
+    sums = np.concatenate((P.sum(axis=1), P.sum(axis=0)))
+    B = P[:, 1:]
+    J = np.block([[np.diag(sums[:n]), B], [B.T, np.diag(sums[n + 1 :])]])
+    d = np.linalg.solve(J, -np.delete(sums - 1.0 / n, n))
+    return d[:n], np.concatenate(([0.0], d[n:]))
+
+
 def additive_fit_residual(M: np.ndarray) -> float:
     """Sup-norm residual of the least-squares fit M ~ a_i + b_j, solved by
     np.linalg.lstsq on the 2n-column design of row and column indicators

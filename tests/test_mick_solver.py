@@ -1,4 +1,5 @@
 import json
+import math
 import time
 from dataclasses import fields
 from functools import lru_cache
@@ -31,6 +32,7 @@ from _oracles import (
     brute_potential,
     damped_fixed_point,
     discrete_liouville_residual,
+    newton_block_step,
     projected_gradient_mick,
     random_feasible_with_tau,
     sinkhorn_sweeps,
@@ -396,12 +398,12 @@ class TestSinkhornIllConditioned:
             assert got == pytest.approx(want, rel=1e-10)
 
 
-def high_theta_kernel():
-    """The inner step's kernel exp(2 lambda S) at n = 16, theta = 4 lambda = 56."""
-    from frankmick import FrankParameter, frank_checkerboard
-
-    board = frank_checkerboard(FrankParameter(56.0), 16).masses
-    return np.exp(28.0 * _potential_from_masses(board) - 28.0)
+def high_theta_kernel(theta=56.0, n=16):
+    """The inner step's kernel exp(2 lambda S) on the n-grid Frank board at
+    theta = 4 lambda."""
+    board = frank_checkerboard(FrankParameter(theta), n).masses
+    lam2 = 0.5 * theta
+    return np.exp(lam2 * _potential_from_masses(board) - lam2)
 
 
 def tilted_kernel():
@@ -412,6 +414,15 @@ def tilted_kernel():
 
 
 SLOW_KERNELS = {"theta56_n16": high_theta_kernel, "tilted_n4": tilted_kernel}
+DIRECTION_KERNELS = dict(
+    SLOW_KERNELS,
+    **{
+        f"random_n{n}": lambda n=n: np.exp(
+            2.0 * np.random.default_rng(n).standard_normal((n, n))
+        )
+        for n in (2, 3, 16, 128)
+    },
+)
 
 
 class TestNewtonFinish:
@@ -426,10 +437,8 @@ class TestNewtonFinish:
         monkeypatch.setattr(mick_solver, "_newton_finish", counted)
         return calls
 
-    def sweeps_only(self, monkeypatch, K):
-        with monkeypatch.context() as m:
-            m.setattr(mick_solver, "_NEWTON_MAX_N", 0)
-            return sinkhorn_project(K).masses
+    def sweeps_only(self, K):
+        return mick_solver._sinkhorn(K, MARGINAL_TOL, newton=False)
 
     @pytest.mark.parametrize("name", sorted(SLOW_KERNELS))
     def test_slow_kernel_switches_once(self, monkeypatch, name):
@@ -485,6 +494,18 @@ class TestNewtonFinish:
         assert P is not None and c[0] == 1.0  # c[0] is the gauge
         assert np.max(np.abs(P - sinkhorn_sweeps(K))) <= 1e-12
 
+    @pytest.mark.parametrize("name", sorted(DIRECTION_KERNELS))
+    def test_schur_direction_matches_block_solve(self, name):
+        K = DIRECTION_KERNELS[name]()
+        n = K.shape[0]
+        rng = np.random.default_rng(3)
+        P = rng.uniform(0.5, 2.0, (n, 1)) * K * rng.uniform(0.5, 2.0, n)
+        P /= P.sum()
+        sums = np.concatenate((P.sum(axis=1), P.sum(axis=0)))
+        got = np.concatenate(mick_solver._newton_direction(P, sums))
+        want = np.concatenate(newton_block_step(P))
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
     def test_stalled_newton_falls_back_once(self, monkeypatch):
         calls = []
 
@@ -496,7 +517,7 @@ class TestNewtonFinish:
         K = high_theta_kernel()
         P = sinkhorn_project(K).masses
         assert len(calls) == 1
-        assert np.array_equal(P, self.sweeps_only(monkeypatch, K))
+        assert np.array_equal(P, self.sweeps_only(K))
 
     @pytest.mark.parametrize("scale", [0.5, 1.0])
     def test_well_conditioned_kernel_never_switches(self, monkeypatch, scale):
@@ -504,17 +525,17 @@ class TestNewtonFinish:
         K = np.exp(scale * np.random.default_rng(8).normal(size=(12, 12)))
         P = sinkhorn_project(K).masses
         assert not calls
-        assert np.array_equal(P, self.sweeps_only(monkeypatch, K))
+        assert np.array_equal(P, self.sweeps_only(K))
 
-    def test_dense_gate(self, monkeypatch):
+    def test_cost_gate(self, monkeypatch):
+        # slow sweeps switch whatever n is; fast ones never do
         calls = self.count_newton(monkeypatch)
-        rng = np.random.default_rng(9)
-        sinkhorn_project(np.exp(3.0 * rng.standard_normal((64, 64))))
+        sinkhorn_project(high_theta_kernel(200.0, 128))
         assert len(calls) == 1
-        K = np.exp(3.0 * rng.standard_normal((65, 65)))
+        K = np.exp(np.random.default_rng(9).standard_normal((256, 256)))
         P = sinkhorn_project(K).masses
         assert len(calls) == 1
-        assert np.array_equal(P, self.sweeps_only(monkeypatch, K))
+        assert np.array_equal(P, self.sweeps_only(K))
 
 
 class TestInnerStepWork:
@@ -582,6 +603,40 @@ class TestHighTau:
     def test_few_outer_evaluations(self):
         report, _ = high_tau_solve(16, 0.9)
         assert report.converged and report.outer_iterations <= 8
+
+
+@lru_cache(maxsize=None)
+def newton_counted_solve(n, tau):
+    """The default report, and the grid sizes _newton_finish was called at."""
+    sizes = []
+    original = mick_solver._newton_finish
+
+    def recorded(K, *args):
+        sizes.append(K.shape[0])
+        return original(K, *args)
+
+    mick_solver._newton_finish = recorded
+    try:
+        report = solve_mick(SolverConfig(n=n, target_tau=tau))
+    finally:
+        mick_solver._newton_finish = original
+    return report, sizes
+
+
+class TestBeyondCheckerboardSupport:
+    # theta(tau) > CHECKERBOARD_SUPPORT: the solve starts on the uniform
+    # board, and its projections only meet tol_p through the Newton finish
+    @pytest.mark.parametrize("n, tau", [(128, 0.99), (96, 0.988)])
+    def test_converges_at_default_config(self, n, tau):
+        report, _ = newton_counted_solve(n, tau)
+        assert report.converged
+        assert abs(report.achieved_tau - tau) <= 1e-6
+        assert math.isfinite(report.implied_theta)
+        assert report.implied_theta > CHECKERBOARD_SUPPORT
+
+    def test_newton_finish_runs_at_n128(self):
+        _, sizes = newton_counted_solve(128, 0.99)
+        assert sizes and set(sizes) == {128}
 
 
 def bridge_multiplier(tau):
