@@ -64,6 +64,12 @@ def _em(x):
     return -np.expm1(-x)
 
 
+def _bracket(t, eu, ev, v):
+    """e^{-tu} (1 - e^{-tv}) + e^{-tv} (1 - e^{-t(1-v)}) from eu = e^{-tu}
+    and ev = e^{-tv}: (1 - e^{-t}) e^{-t C(u, v)} as a sum of same-sign terms."""
+    return eu * _em(t * v) + ev * _em(t * (1.0 - v))
+
+
 @dataclass(frozen=True)
 class CheckerboardDensity:
     """n x n matrix of cell masses with uniform marginals.
@@ -171,7 +177,7 @@ def frank_cdf(p: FrankParameter, u, v):
     u = _check_unit(u, "u")
     v = _check_unit(v, "v")
     t = p.theta
-    bracket = np.exp(-t * u) * _em(t * v) + np.exp(-t * v) * _em(t * (1.0 - v))
+    bracket = _bracket(t, np.exp(-t * u), np.exp(-t * v), v)
     return -np.log(bracket / _em(t)) / t
 
 
@@ -183,8 +189,7 @@ def frank_density(p: FrankParameter, u, v):
     t = p.theta
     eu = np.exp(-t * u)
     ev = np.exp(-t * v)
-    bracket = eu * _em(t * v) + ev * _em(t * (1.0 - v))
-    return t * _em(t) * eu * ev / bracket**2
+    return t * _em(t) * eu * ev / _bracket(t, eu, ev, v) ** 2
 
 
 def frank_generator(p: FrankParameter, s):
@@ -404,9 +409,8 @@ def frank_checkerboard(p: FrankParameter, n: int) -> CheckerboardDensity:
     t = abs(p.theta)
     nodes = np.arange(n + 1) / n
     e = np.exp(-t * nodes)
-    # -k A(u, v) as the same-sign bracket of frank_cdf, at all node pairs
-    bracket = e[:, None] * _em(t * nodes)[None, :]
-    bracket += e * _em(t * (1.0 - nodes))
+    # -k A(u, v) = _bracket at all node pairs
+    bracket = _bracket(t, e[:, None], e, nodes)
     # -da_i = e^{-t u_i} (1 - e^{-t/n}); each factor is divided in before
     # the next is multiplied in, so no partial product leaves the normal
     # range (tiny theta included)

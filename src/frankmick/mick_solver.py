@@ -9,11 +9,12 @@ and prescribed tau.  The stationarity condition
 self-consistent iteration whose marginal constraints are enforced by
 Sinkhorn scaling.  Its one residual, max|center(log p - 2 lambda_d S)|
 with center removing row and column means, measures the departure from
-the additive form above; it stops the iteration and goes in the report.
-An outer safeguarded secant search, seeded by the Frank bridge, adjusts
-the multiplier lambda_d until the achieved tau matches the target.  The
-continuum analog of the multiplier maps to a Frank parameter via
-theta = 4 * lambda_d, which the report exposes as ``implied_theta``.
+the additive form above; it drives the damped step, stops the iteration
+and goes in the report.  An outer safeguarded secant search, seeded by
+the Frank bridge, adjusts the multiplier lambda_d until the achieved tau
+matches the target.  The continuum analog of the multiplier maps to a
+Frank parameter via theta = 4 * lambda_d, which the report exposes as
+``implied_theta``.
 """
 
 from __future__ import annotations
@@ -231,11 +232,14 @@ def _newton_finish(K, r, c, tol=MARGINAL_TOL):
     _newton_direction, with c[0] held fixed as the gauge, halved until the
     L1 marginal error falls.
     """
-    n = K.shape[0]
-    target = 1.0 / n
-    P = r[:, None] * K * c[None, :]
-    sums = np.concatenate((P.sum(axis=1), P.sum(axis=0)))  # rows, then columns
-    miss = np.abs(sums - target)
+    target = 1.0 / K.shape[0]
+
+    def scaled(r, c):  # P, its row then column sums, and their misses
+        P = r[:, None] * K * c[None, :]
+        sums = np.concatenate((P.sum(axis=1), P.sum(axis=0)))
+        return P, sums, np.abs(sums - target)
+
+    P, sums, miss = scaled(r, c)
     for _ in range(_NEWTON_STEPS):
         if miss.max() <= tol:
             return P, c
@@ -246,9 +250,7 @@ def _newton_finish(K, r, c, tol=MARGINAL_TOL):
         err, step = miss.sum(), 1.0
         for _ in range(_NEWTON_STEPS):
             r_t, c_t = r * np.exp(step * dx), c * np.exp(step * dy)
-            P_t = r_t[:, None] * K * c_t[None, :]
-            sums_t = np.concatenate((P_t.sum(axis=1), P_t.sum(axis=0)))
-            miss_t = np.abs(sums_t - target)
+            P_t, sums_t, miss_t = scaled(r_t, c_t)
             if miss_t.sum() < err:
                 break
             step *= 0.5
@@ -268,26 +270,16 @@ def _center(M: np.ndarray) -> np.ndarray:
     return M
 
 
-def _residual(M: np.ndarray) -> float:
-    """Sup norm of M's departure from the additive form const + a_i + b_j."""
-    R = _center(M)
-    return float(np.abs(R, out=R).max())
-
-
 def _anderson_step(G, F, dG, dF):
-    """Type-II Anderson update: G minus the combination of the differences
-    dG whose residual differences dF best cancel the residual F."""
-    if not dF:
-        return G
-    A = np.array([[u.ravel() @ v.ravel() for v in dF] for u in dF])
+    """Type-II Anderson update: G minus the combination of the rows of dG
+    whose residual differences, the rows of dF, best cancel the residual F."""
+    A = dF @ dF.T
     scale = A.trace()
     if not scale > 0.0:
         return G
-    A[np.diag_indices_from(A)] += _ANDERSON_RIDGE * scale
-    gamma = np.linalg.solve(A, [u.ravel() @ F.ravel() for u in dF])
-    for g, dg in zip(gamma, dG):
-        G = G - g * dg
-    return G
+    A.flat[:: len(A) + 1] += _ANDERSON_RIDGE * scale
+    gamma = np.linalg.solve(A, dF @ F.ravel())
+    return G - (gamma @ dG).reshape(G.shape)
 
 
 def inner_fixed_point(
@@ -295,30 +287,29 @@ def inner_fixed_point(
 ) -> SolverState:
     """Damped iteration p <- Sinkhorn(exp(2 lambda_d S(p))), Anderson-accelerated.
 
-    The iterate is the gauge-fixed log-kernel L (row and column means
-    removed); since Sinkhorn is invariant under row/column exponential
-    factors this leaves the fixed points unchanged.  One step projects
-    q = Sinkhorn(exp(L + beta)) and forms the damped map
-    G(L) = center((1 - d) log q + d * 2 lambda_d S(q)); the next L is G(L)
-    minus the least-squares combination of the last _ANDERSON_MEMORY
-    differences of G and of the residual G(L) - L (type-II Anderson,
-    Walker & Ni 2011).  The first L is the damped log-kernel of the
-    starting masses.  beta = log q[0, :] - L[0, :] is the column scaling
-    that took L to q; adding it to the next L warm-starts the projection.
-    Stops at the first q whose stationarity residual max|center(log q -
-    2 lambda_d S(q))| is within tol_in = min(cfg.tol_fix, cfg.tol_tau), or
-    after cfg.max_inner iterations.  Each q is projected by _sinkhorn to
-    tol_p = max(1e-14, min(MARGINAL_TOL, 0.01 tol_in / max(1, 2|lambda_d|))):
-    a marginal error delta moves the residual by about 2 |lambda_d| delta,
-    so with projections stopped at MARGINAL_TOL the residual has a noise
-    floor of several 1e-9 at lambda_d = 29, and the iteration wandered in
-    it for tens to hundreds of steps.  The masses are validated once, as
-    the returned state's density, which also carries the row and column
+    The iterate is a log-kernel L; Sinkhorn ignores its row and column
+    terms, so only center(L) matters.  One step projects q =
+    Sinkhorn(exp(L + beta)) and forms the stationarity residual R =
+    center(log q - 2 lambda_d S(q)).  As log q is L plus row and column
+    terms, the damped map center((1 - d) log q + d * 2 lambda_d S(q)) is
+    center(L) - d R, so the step takes G(L) = L + F with F = -d R, and the
+    next L is G(L) minus the least-squares combination of the last
+    _ANDERSON_MEMORY differences of G and of F (type-II Anderson, Walker &
+    Ni 2011).  The first L is the damped log-kernel (1 - d) log p + d *
+    2 lambda_d S(p) of the starting masses p.  beta = log q[0, :] - L[0, :]
+    is the column scaling that took L to q; adding it to the next L
+    warm-starts the projection.  Stops at the first q with max|R| within
+    tol_in = min(cfg.tol_fix, cfg.tol_tau), or after cfg.max_inner
+    iterations.  Each q is projected by _sinkhorn to tol_p = max(1e-14,
+    min(MARGINAL_TOL, 0.01 tol_in / max(1, 2|lambda_d|))): a marginal error
+    delta moves the residual by about 2 |lambda_d| delta, so the projection
+    stays below the residual's tolerance.  The masses are validated once,
+    as the returned state's density, which also carries the row and column
     potentials of its masses (the row and column means of log q -
     2 lambda_d S(q), less the grand mean) and the iteration count.  The
     returned state also holds, as the private attribute ``_exit``, the
-    last q's tau = sum q S(q) and stationarity residual, which solve_mick
-    reads instead of computing S(q) again.
+    last q's tau = sum q S(q) and max|R|, which solve_mick reads instead of
+    computing S(q) again.
     """
     p = state.density.masses
     if np.any(p <= 0.0):
@@ -332,7 +323,7 @@ def inner_fixed_point(
     T = 2.0 * lambda_d * _potential_from_masses(p)  # 2 lambda_d S(p)
     L = (1.0 - d) * log_p + d * T
     beta = np.zeros(p.shape[0])
-    dG, dF = [], []  # the last differences of G(L) and of G(L) - L
+    dG = dF = np.empty((0, p.size))  # the last differences of G and of F, as rows
     G_prev = F_prev = None
     for iterations in range(1, cfg.max_inner + 1):
         warm = L + beta
@@ -348,16 +339,15 @@ def inner_fixed_point(
         beta = log_p[0] - L[0]
         S = _potential_from_masses(p)
         T = 2.0 * lambda_d * S
-        resid = _residual(log_p - T)
+        R = _center(log_p - T)
+        resid = float(np.abs(R).max())
         if resid <= tol_in:
             break
-        G = _center((1.0 - d) * log_p + d * T)
-        F = G - L
+        F = -d * R
+        G = L + F
         if G_prev is not None:
-            dG.append(G - G_prev)
-            dF.append(F - F_prev)
-            if len(dG) > _ANDERSON_MEMORY:
-                del dG[0], dF[0]
+            dG = np.vstack((dG, (G - G_prev).ravel()))[-_ANDERSON_MEMORY:]
+            dF = np.vstack((dF, (F - F_prev).ravel()))[-_ANDERSON_MEMORY:]
         G_prev, F_prev = G, F
         L = _anderson_step(G, F, dG, dF)
     M = log_p - T

@@ -345,7 +345,20 @@ class TestStationarityResidual:
 
     def test_random_matrix_matches_lstsq_fit(self):
         M = np.random.default_rng(21).normal(size=(9, 9))
-        assert abs(mick_solver._residual(M) - additive_fit_residual(M)) <= 1e-12
+        got = np.abs(mick_solver._center(M)).max()
+        assert abs(got - additive_fit_residual(M)) <= 1e-12
+
+    @pytest.mark.parametrize("n, lam", [(4, 0.5), (16, 3.0), (64, 14.0)])
+    @pytest.mark.parametrize("d", [0.5, 1.0])
+    def test_damped_map_is_centred_residual_step(self, n, lam, d):
+        # q = Sinkhorn(exp(L)) differs from exp(L) by row and column factors,
+        # so centring (1 - d) log q + d T moves center(L) by -d center(log q - T)
+        L = np.random.default_rng(n).normal(size=(n, n))
+        q = mick_solver._sinkhorn(np.exp(L - L.max()), 1e-14)
+        T = 2.0 * lam * _potential_from_masses(q)
+        C = mick_solver._center
+        step = C((1.0 - d) * np.log(q) + d * T) - C(L)
+        assert np.max(np.abs(step + d * C(np.log(q) - T))) <= 1e-12
 
 
 class TestSolverReportSerialization:
@@ -560,6 +573,12 @@ class TestInnerStepWork:
         state = inner_fixed_point(make_state(8), 1.0, SolverConfig(n=8, target_tau=0.3))
         assert len(calls) == state.inner_iterations + 1
 
+    def test_one_centring_per_step(self, monkeypatch):
+        # the stationarity residual drives the exit test, the step and Anderson
+        calls = self.count_calls(monkeypatch, "_center")
+        state = inner_fixed_point(make_state(8), 1.0, SolverConfig(n=8, target_tau=0.3))
+        assert len(calls) == state.inner_iterations
+
     def test_kernel_underflow_is_typed(self):
         with pytest.raises(DivergenceDetected):
             inner_fixed_point(make_state(4), 1000.0, SolverConfig(n=4, target_tau=0.3))
@@ -745,12 +764,14 @@ class TestTransportedStart:
 
     def test_mid_sweep_inner_steps(self):
         # 150 in total and 9 at n = 256 when each evaluation started from
-        # the previous masses untransported
+        # the previous masses untransported; 100 when the damped map was
+        # centred apart from the residual, so Anderson's first residual kept
+        # the first log-kernel's row and column means
         grids = (4, 8, 16, 32, 64, 128, 256)
         reports = {n: solve_mick(SolverConfig(n=n, target_tau=0.307)) for n in grids}
         assert all(r.converged for r in reports.values())
         assert [r.outer_iterations for r in reports.values()] == [5, 4, 3, 3, 2, 2, 2]
-        assert sum(r.inner_iterations_total for r in reports.values()) <= 110
+        assert sum(r.inner_iterations_total for r in reports.values()) <= 90
         assert reports[256].inner_iterations_total <= 3
 
     def test_high_tau_inner_steps(self):
