@@ -154,16 +154,6 @@ class GridFunction:
             raise ValueError("grid values must be finite")
         object.__setattr__(self, "values", v)
 
-    def to_csv(self) -> str:
-        """Node coordinates and value, one row per node."""
-        out = ["u,v,value"]
-        for i in range(self.n + 1):
-            for j in range(self.n + 1):
-                out.append(
-                    f"{i / self.n!r},{j / self.n!r},{self.values[i, j]!r}"
-                )
-        return "\n".join(out) + "\n"
-
 
 # -- closed-form family ----------------------------------------------------
 

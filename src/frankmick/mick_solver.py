@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -83,7 +83,6 @@ class SolverState:
     multiplier: float
     row_potentials: np.ndarray
     col_potentials: np.ndarray
-    inner_iterations: int = 0
 
 
 @dataclass(frozen=True)
@@ -283,8 +282,8 @@ def _anderson_step(G, F, dG, dF):
 
 
 def inner_fixed_point(
-    state: SolverState, lambda_d: float, cfg: SolverConfig
-) -> SolverState:
+    start: CheckerboardDensity, lambda_d: float, cfg: SolverConfig
+) -> SolverReport:
     """Damped iteration p <- Sinkhorn(exp(2 lambda_d S(p))), Anderson-accelerated.
 
     The iterate is a log-kernel L; Sinkhorn ignores its row and column
@@ -296,29 +295,28 @@ def inner_fixed_point(
     next L is G(L) minus the least-squares combination of the last
     _ANDERSON_MEMORY differences of G and of F (type-II Anderson, Walker &
     Ni 2011).  The first L is the damped log-kernel (1 - d) log p + d *
-    2 lambda_d S(p) of the starting masses p.  beta = log q[0, :] - L[0, :]
+    2 lambda_d S(p) of the start's masses p.  beta = log q[0, :] - L[0, :]
     is the column scaling that took L to q; adding it to the next L
     warm-starts the projection.  Stops at the first q with max|R| within
     tol_in = min(cfg.tol_fix, cfg.tol_tau), or after cfg.max_inner
     iterations.  Each q is projected by _sinkhorn to tol_p = max(1e-14,
     min(MARGINAL_TOL, 0.01 tol_in / max(1, 2|lambda_d|))): a marginal error
     delta moves the residual by about 2 |lambda_d| delta, so the projection
-    stays below the residual's tolerance.  The masses are validated once,
-    as the returned state's density, which also carries the row and column
-    potentials of its masses (the row and column means of log q -
-    2 lambda_d S(q), less the grand mean) and the iteration count.  The
-    returned state also holds, as the private attribute ``_exit``, the
-    last q's tau = sum q S(q) and max|R|, which solve_mick reads instead of
-    computing S(q) again.
+    stays below the residual's tolerance.
+
+    Returns the SolverReport of this one evaluation: the last q, validated
+    once as its state's density, with the row and column potentials of
+    its masses (the row and column means of log q - 2 lambda_d S(q), less
+    the grand mean); tau = sum q S(q); max|R|; one outer iteration and
+    this evaluation's step count; converged judged against cfg.
     """
-    p = state.density.masses
+    p = start.masses
     if np.any(p <= 0.0):
         raise DivergenceDetected("initial density must be strictly positive")
     d = cfg.damping
     tol_in = min(cfg.tol_fix, cfg.tol_tau)
     tol_p = 0.01 * tol_in / max(1.0, 2.0 * abs(lambda_d))
     tol_p = max(1e-14, min(MARGINAL_TOL, tol_p))
-    iterations = 0
     log_p = np.log(p)
     T = 2.0 * lambda_d * _potential_from_masses(p)  # 2 lambda_d S(p)
     L = (1.0 - d) * log_p + d * T
@@ -351,15 +349,22 @@ def inner_fixed_point(
         G_prev, F_prev = G, F
         L = _anderson_step(G, F, dG, dF)
     M = log_p - T
+    tau = float(np.sum(p * S))
     state = SolverState(
         density=CheckerboardDensity(p.shape[0], p),
         multiplier=lambda_d,
         row_potentials=M.mean(axis=1) - M.mean(),
         col_potentials=M.mean(axis=0) - M.mean(),
-        inner_iterations=iterations,
     )
-    object.__setattr__(state, "_exit", (float(np.sum(p * S)), resid))
-    return state
+    return SolverReport(
+        state=state,
+        achieved_tau=tau,
+        stationarity_residual=resid,
+        outer_iterations=1,
+        inner_iterations_total=iterations,
+        converged=abs(tau - cfg.target_tau) <= cfg.tol_tau and resid <= cfg.tol_fix,
+        implied_theta=4.0 * lambda_d,
+    )
 
 
 def tau_max_for_grid(n: int) -> float:
@@ -394,16 +399,12 @@ def _transport(p: CheckerboardDensity, old, new) -> CheckerboardDensity:
     return CheckerboardDensity(p.n, _sinkhorn(kernel, MARGINAL_TOL))
 
 
-def _assemble_report(state, tau, resid, cfg, outer, inner_total) -> SolverReport:
-    converged = abs(tau - cfg.target_tau) <= cfg.tol_tau and resid <= cfg.tol_fix
-    return SolverReport(
-        state=state,
-        achieved_tau=tau,
-        stationarity_residual=resid,
-        outer_iterations=outer,
-        inner_iterations_total=inner_total,
-        converged=converged,
-        implied_theta=4.0 * state.multiplier,
+def _with_totals(report: SolverReport, reports) -> SolverReport:
+    """report, re-stamped with the outer and inner counts of all reports."""
+    return replace(
+        report,
+        outer_iterations=len(reports),
+        inner_iterations_total=sum(r.inner_iterations_total for r in reports),
     )
 
 
@@ -418,10 +419,13 @@ def solve_mick(cfg: SolverConfig) -> SolverReport:
     through the last two evaluations, each step capped at max(0.25,
     |lambda| / 2); once the target is bracketed, a guess outside the
     bracket becomes its midpoint, and a non-positive slope falls back to a
-    capped step toward the target.  Each evaluation is an inner fixed
-    point.  Running past |lambda| = 200 unbracketed raises BracketFailure
-    with the achieved tau range; using up cfg.max_outer evaluations raises
-    NoConvergence carrying the report of the closest tau.
+    capped step toward the target.  Each evaluation is an
+    inner_fixed_point and yields its own report.  The search returns the
+    last one, within cfg.tol_tau of the target, with the search's total
+    outer and inner counts.  Running past |lambda| = 200 unbracketed raises
+    BracketFailure with the range of the evaluations' tau; using up
+    cfg.max_outer evaluations raises NoConvergence carrying the report of
+    the first evaluation closest to the target, with the same totals.
 
     With multiplier_init "auto" the first evaluation starts from the Frank
     checkerboard at theta(tau) -- the paper's answer, within O(n^-2) of the
@@ -441,7 +445,7 @@ def solve_mick(cfg: SolverConfig) -> SolverReport:
     if target == 0.0:
         density = uniform_checkerboard(cfg.n)
         state = SolverState(density, 0.0, np.zeros(cfg.n), np.zeros(cfg.n))
-        return _assemble_report(state, 0.0, 0.0, cfg, 0, 0)
+        return SolverReport(state, 0.0, 0.0, 0, 0, converged=True, implied_theta=0.0)
     limit = tau_max_for_grid(cfg.n)
     if abs(target) >= limit:
         raise TauInfeasible(
@@ -458,47 +462,37 @@ def solve_mick(cfg: SolverConfig) -> SolverReport:
     else:
         start = uniform_checkerboard(cfg.n)
 
-    inner_total = 0
-    evals = []  # (lambda, tau)
-
-    def evaluate(lam, start):
-        nonlocal inner_total
-        state = inner_fixed_point(
-            SolverState(start, lam, np.zeros(cfg.n), np.zeros(cfg.n)), lam, cfg
-        )
-        tau = state._exit[0]
-        inner_total += state.inner_iterations
-        evals.append((lam, tau))
-        return tau, state
-
-    def report(state):
-        return _assemble_report(state, *state._exit, cfg, len(evals), inner_total)
-
+    reports = []  # one per evaluation
     # first slope dtau/dlambda: the Frank bridge's, tau'(theta) at theta = 4 lambda
     slope = 4.0 * _tau_slope(4.0 * lam)
-    tau, state = evaluate(lam, start)
-    best = (abs(tau - target), tau, state)
     lo = hi = None  # multipliers whose tau fell below / above the target
-    while abs(tau - target) > cfg.tol_tau:
+    while True:
+        report = inner_fixed_point(start, lam, cfg)
+        reports.append(report)
+        tau = report.achieved_tau
+        if abs(tau - target) <= cfg.tol_tau:
+            return _with_totals(report, reports)
         if tau < target:
             lo = lam
         else:
             hi = lam
         if None in (lo, hi) and abs(lam) > 200.0:
-            taus = [t for _, t in evals]
+            taus = [r.achieved_tau for r in reports]
             raise BracketFailure(
                 f"could not bracket tau = {target}",
                 tau_range=(min(taus), max(taus)),
             )
-        if len(evals) >= cfg.max_outer:
-            _, tau, state = best
+        if len(reports) >= cfg.max_outer:
+            misses = [abs(r.achieved_tau - target) for r in reports]
+            best = reports[misses.index(min(misses))]  # the first closest
             raise NoConvergence(
                 f"outer search exhausted {cfg.max_outer} evaluations "
-                f"(best tau {tau} vs target {target})",
-                report=report(state),
+                f"(best tau {best.achieved_tau} vs target {target})",
+                report=_with_totals(best, reports),
             )
-        if len(evals) > 1 and evals[-2][0] != lam:
-            slope = (tau - evals[-2][1]) / (lam - evals[-2][0])
+        if len(reports) > 1 and reports[-2].state.multiplier != lam:
+            prev = reports[-2]
+            slope = (tau - prev.achieved_tau) / (lam - prev.state.multiplier)
         # secant step, capped so a poor start still grows geometrically
         cap = max(0.25, 0.5 * abs(lam))
         step = (target - tau) / slope if slope > 0.0 else math.inf
@@ -506,8 +500,5 @@ def solve_mick(cfg: SolverConfig) -> SolverReport:
         if None not in (lo, hi) and not min(lo, hi) < lam < max(lo, hi):
             lam = 0.5 * (lo + hi)
         new_board = _frank_board(lam, cfg.n)
-        tau, state = evaluate(lam, _transport(state.density, board, new_board))
+        start = _transport(report.state.density, board, new_board)
         board = new_board
-        if abs(tau - target) < best[0]:
-            best = (abs(tau - target), tau, state)
-    return report(state)

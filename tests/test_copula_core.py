@@ -417,9 +417,3 @@ class TestGridFunction:
         v[1, 1] = np.inf
         with pytest.raises(ValueError):
             GridFunction(2, v)
-
-    def test_csv_has_nodes(self):
-        gf = GridFunction(2, np.arange(9.0).reshape(3, 3))
-        text = gf.to_csv()
-        assert text.startswith("u,v,value")
-        assert len(text.strip().splitlines()) == 10

@@ -25,7 +25,12 @@ from frankmick import (
 from frankmick.concordance import _potential_from_masses
 from frankmick import mick_solver
 from frankmick.copula_core import CHECKERBOARD_SUPPORT, MARGINAL_TOL
-from frankmick.errors import DivergenceDetected, NoConvergence, TauInfeasible
+from frankmick.errors import (
+    BracketFailure,
+    DivergenceDetected,
+    NoConvergence,
+    TauInfeasible,
+)
 
 from _oracles import (
     additive_fit_residual,
@@ -37,10 +42,6 @@ from _oracles import (
     random_feasible_with_tau,
     sinkhorn_sweeps,
 )
-
-
-def make_state(n, lam=0.0):
-    return SolverState(uniform_checkerboard(n), lam, np.zeros(n), np.zeros(n))
 
 
 class TestSinkhornProject:
@@ -86,12 +87,12 @@ class TestSinkhornProject:
 class TestInnerFixedPoint:
     def test_zero_multiplier_gives_uniform(self):
         cfg = SolverConfig(n=6, target_tau=0.3)
-        state = inner_fixed_point(make_state(6), 0.0, cfg)
+        state = inner_fixed_point(uniform_checkerboard(6), 0.0, cfg).state
         np.testing.assert_allclose(state.density.masses, 1 / 36, atol=1e-12)
 
     def test_small_multiplier_matches_brute_force(self):
         cfg = SolverConfig(n=4, target_tau=0.3, tol_fix=1e-12)
-        state = inner_fixed_point(make_state(4), 0.05, cfg)
+        state = inner_fixed_point(uniform_checkerboard(4), 0.05, cfg).state
         tau = kendall_tau_checkerboard(state.density)
         assert tau > 0.0
         # independent constrained optimizer at the achieved tau
@@ -101,7 +102,7 @@ class TestInnerFixedPoint:
     def test_stationarity_residual_at_fixed_point(self):
         cfg = SolverConfig(n=8, target_tau=0.3, tol_fix=1e-10)
         lam = 0.75
-        state = inner_fixed_point(make_state(8), lam, cfg)
+        state = inner_fixed_point(uniform_checkerboard(8), lam, cfg).state
         m = state.density.masses
         M = np.log(m) - 2.0 * lam * _potential_from_masses(m)
         fitted = M.mean() + state.row_potentials[:, None] + state.col_potentials[None, :]
@@ -109,25 +110,25 @@ class TestInnerFixedPoint:
 
     def test_marginals_after_exit(self):
         cfg = SolverConfig(n=8, target_tau=0.3)
-        state = inner_fixed_point(make_state(8), 1.0, cfg)
+        state = inner_fixed_point(uniform_checkerboard(8), 1.0, cfg).state
         assert np.max(np.abs(state.density.masses.sum(axis=1) - 1 / 8)) <= 1e-10
 
     def test_iteration_count_from_uniform_at_zero_multiplier(self):
         cfg = SolverConfig(n=6, target_tau=0.3)
-        state = inner_fixed_point(make_state(6), 0.0, cfg)
-        assert state.inner_iterations == 1
+        report = inner_fixed_point(uniform_checkerboard(6), 0.0, cfg)
+        assert report.inner_iterations_total == 1
 
     def test_iteration_count_when_capped(self):
         cfg = SolverConfig(n=8, target_tau=0.3, max_inner=3)
-        state = inner_fixed_point(make_state(8), 1.0, cfg)
-        assert state.inner_iterations == 3
+        report = inner_fixed_point(uniform_checkerboard(8), 1.0, cfg)
+        assert report.inner_iterations_total == 3
 
     def test_accelerated_steps_at_matched_multiplier(self):
         # the plain damped iteration needs 36 steps here
         lam = theta_from_tau(0.307, 1e-10).theta / 4.0
         cfg = SolverConfig(n=64, target_tau=0.307)
-        state = inner_fixed_point(make_state(64), lam, cfg)
-        assert state.inner_iterations <= 20
+        report = inner_fixed_point(uniform_checkerboard(64), lam, cfg)
+        assert report.inner_iterations_total <= 20
 
     def test_stops_at_first_step_within_tol_fix(self):
         lam = theta_from_tau(0.307, 1e-10).theta / 4.0
@@ -139,17 +140,38 @@ class TestInnerFixedPoint:
                 np.log(m) - 2.0 * lam * _potential_from_masses(m)
             )
 
-        state = inner_fixed_point(make_state(4), lam, cfg)
-        k = state.inner_iterations
+        report = inner_fixed_point(uniform_checkerboard(4), lam, cfg)
+        k = report.inner_iterations_total
         assert k <= 8
-        assert residual(state) <= cfg.tol_fix
+        assert residual(report.state) <= cfg.tol_fix
         capped = SolverConfig(n=4, target_tau=0.307, max_inner=k - 1)
-        assert residual(inner_fixed_point(make_state(4), lam, capped)) > cfg.tol_fix
+        again = inner_fixed_point(uniform_checkerboard(4), lam, capped)
+        assert residual(again.state) > cfg.tol_fix
+
+    @pytest.mark.parametrize(
+        "n, lam", [(8, 0.75), (64, theta_from_tau(0.307, 1e-10).theta / 4.0)]
+    )
+    def test_evaluation_report(self, n, lam):
+        cfg = SolverConfig(n=n, target_tau=-0.5)  # far from the tau reached
+        report = inner_fixed_point(uniform_checkerboard(n), lam, cfg)
+        assert isinstance(report, SolverReport)
+        assert report.achieved_tau == kendall_tau_checkerboard(report.state.density)
+        m = report.state.density.masses
+        M = np.log(m) - 2.0 * lam * _potential_from_masses(m)
+        assert abs(report.stationarity_residual - additive_fit_residual(M)) <= 1e-12
+        assert report.stationarity_residual <= cfg.tol_fix
+        assert report.outer_iterations == 1 and report.inner_iterations_total >= 1
+        assert report.state.multiplier == lam and report.implied_theta == 4.0 * lam
+        assert not report.converged
+        # the same evaluation, judged against the tau it reached
+        near = SolverConfig(n=n, target_tau=report.achieved_tau)
+        again = inner_fixed_point(uniform_checkerboard(n), lam, near)
+        assert again.converged and again.achieved_tau == report.achieved_tau
 
     @pytest.mark.parametrize("n, lam", [(64, 0.75), (16, 14.12)])
     def test_matches_damped_reference(self, n, lam):
         cfg = SolverConfig(n=n, target_tau=0.3)
-        state = inner_fixed_point(make_state(n), lam, cfg)
+        state = inner_fixed_point(uniform_checkerboard(n), lam, cfg).state
         reference = damped_fixed_point(n, lam)
         assert np.max(np.abs(state.density.masses - reference)) <= 1e-9
 
@@ -182,7 +204,7 @@ class TestOuterSearch:
         cfg = SolverConfig(n=6, target_tau=0.3)
         taus = []
         for lam in (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
-            state = inner_fixed_point(make_state(6), lam, cfg)
+            state = inner_fixed_point(uniform_checkerboard(6), lam, cfg).state
             taus.append(kendall_tau_checkerboard(state.density))
         assert np.all(np.diff(taus) > 0.0)
 
@@ -215,6 +237,59 @@ class TestOuterSearch:
         assert report.outer_iterations == 2
         assert 0.0 < report.achieved_tau < 0.307
 
+
+    def record_evaluations(self, monkeypatch):
+        """The reports of the inner solves that solve_mick makes."""
+        reports = []
+        original = mick_solver.inner_fixed_point
+
+        def recorded(*args):
+            reports.append(original(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(mick_solver, "inner_fixed_point", recorded)
+        return reports
+
+    def test_returns_last_evaluation_with_search_totals(self, monkeypatch):
+        evals = self.record_evaluations(monkeypatch)
+        report = solve_mick(SolverConfig(n=32, target_tau=0.6))
+        assert len(evals) > 1
+        assert report.state is evals[-1].state
+        assert report.achieved_tau == evals[-1].achieved_tau
+        assert report.stationarity_residual == evals[-1].stationarity_residual
+        assert report.outer_iterations == len(evals)
+        assert report.inner_iterations_total == sum(
+            r.inner_iterations_total for r in evals
+        )
+
+    def test_no_convergence_carries_closest_evaluation(self, monkeypatch):
+        evals = self.record_evaluations(monkeypatch)
+        cfg = SolverConfig(n=8, target_tau=0.307, max_outer=2, multiplier_init=0.0)
+        with pytest.raises(NoConvergence) as err:
+            solve_mick(cfg)
+        closest = min(evals, key=lambda r: abs(r.achieved_tau - 0.307))
+        report = err.value.report
+        assert report.state is closest.state
+        assert report.achieved_tau == closest.achieved_tau
+        assert report.outer_iterations == len(evals) == 2
+        assert report.inner_iterations_total == sum(
+            r.inner_iterations_total for r in evals
+        )
+
+    def test_bracket_failure_spans_evaluated_taus(self, monkeypatch):
+        # a tau(lambda) that saturates below the target drives lambda past 200
+        taus = []
+
+        def saturating(start, lambda_d, cfg):
+            taus.append(0.2 * math.tanh(lambda_d))
+            state = SolverState(start, lambda_d, np.zeros(cfg.n), np.zeros(cfg.n))
+            return SolverReport(state, taus[-1], 0.0, 1, 1, False, 4.0 * lambda_d)
+
+        monkeypatch.setattr(mick_solver, "inner_fixed_point", saturating)
+        with pytest.raises(BracketFailure) as err:
+            solve_mick(SolverConfig(n=8, target_tau=0.307))
+        assert len(taus) > 2
+        assert err.value.tau_range == (min(taus), max(taus))
 
 class TestSolveMick:
     def test_zero_tau_is_uniform(self):
@@ -565,23 +640,31 @@ class TestInnerStepWork:
 
     def test_one_projection_per_step(self, monkeypatch):
         calls = self.count_calls(monkeypatch, "_sinkhorn")
-        state = inner_fixed_point(make_state(8), 1.0, SolverConfig(n=8, target_tau=0.3))
-        assert len(calls) == state.inner_iterations
+        report = inner_fixed_point(
+            uniform_checkerboard(8), 1.0, SolverConfig(n=8, target_tau=0.3)
+        )
+        assert len(calls) == report.inner_iterations_total
 
     def test_one_potential_per_iterate(self, monkeypatch):
         calls = self.count_calls(monkeypatch, "_potential_from_masses")
-        state = inner_fixed_point(make_state(8), 1.0, SolverConfig(n=8, target_tau=0.3))
-        assert len(calls) == state.inner_iterations + 1
+        report = inner_fixed_point(
+            uniform_checkerboard(8), 1.0, SolverConfig(n=8, target_tau=0.3)
+        )
+        assert len(calls) == report.inner_iterations_total + 1
 
     def test_one_centring_per_step(self, monkeypatch):
         # the stationarity residual drives the exit test, the step and Anderson
         calls = self.count_calls(monkeypatch, "_center")
-        state = inner_fixed_point(make_state(8), 1.0, SolverConfig(n=8, target_tau=0.3))
-        assert len(calls) == state.inner_iterations
+        report = inner_fixed_point(
+            uniform_checkerboard(8), 1.0, SolverConfig(n=8, target_tau=0.3)
+        )
+        assert len(calls) == report.inner_iterations_total
 
     def test_kernel_underflow_is_typed(self):
         with pytest.raises(DivergenceDetected):
-            inner_fixed_point(make_state(4), 1000.0, SolverConfig(n=4, target_tau=0.3))
+            inner_fixed_point(
+                uniform_checkerboard(4), 1000.0, SolverConfig(n=4, target_tau=0.3)
+            )
 
 
 @lru_cache(maxsize=None)
@@ -686,8 +769,8 @@ class TestFrankStart:
         class Started(Exception):
             pass
 
-        def record(state, lambda_d, cfg):
-            raise Started(state.density.masses)
+        def record(start, lambda_d, cfg):
+            raise Started(start.masses)
 
         monkeypatch.setattr(mick_solver, "inner_fixed_point", record)
         with pytest.raises(Started) as err:
@@ -748,7 +831,8 @@ class TestTransportedStart:
     def assert_same_fixed_point(self, report, cfg):
         """inner_fixed_point from the uniform board at the report's
         multiplier reproduces the report."""
-        state = inner_fixed_point(make_state(cfg.n), report.state.multiplier, cfg)
+        start = uniform_checkerboard(cfg.n)
+        state = inner_fixed_point(start, report.state.multiplier, cfg).state
         gap = state.density.masses - report.state.density.masses
         assert np.max(np.abs(gap)) <= 1e-10
         tau = kendall_tau_checkerboard(state.density)
