@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -47,6 +48,7 @@ from .errors import (
 _SINKHORN_CAP = 50_000
 _ANDERSON_MEMORY = 3  # difference pairs kept by inner_fixed_point
 _ANDERSON_RIDGE = 1e-12  # ridge on its normal equations, relative to their trace
+_FORCING = 0.1  # off-target exit: residual within this fraction of the tau miss
 _NEWTON_STEPS = 50  # Newton steps, and halvings of one step, before it gives up
 
 
@@ -62,6 +64,10 @@ class SolverConfig:
     multiplier_init: float | str = "auto"
 
     def __post_init__(self):
+        for name in ("n", "max_inner", "max_outer"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if not -1.0 < self.target_tau < 1.0:
@@ -282,7 +288,10 @@ def _anderson_step(G, F, dG, dF):
 
 
 def inner_fixed_point(
-    start: CheckerboardDensity, lambda_d: float, cfg: SolverConfig
+    start: CheckerboardDensity,
+    lambda_d: float,
+    cfg: SolverConfig,
+    off_target_exit: bool = False,
 ) -> SolverReport:
     """Damped iteration p <- Sinkhorn(exp(2 lambda_d S(p))), Anderson-accelerated.
 
@@ -299,7 +308,12 @@ def inner_fixed_point(
     is the column scaling that took L to q; adding it to the next L
     warm-starts the projection.  Stops at the first q with max|R| within
     tol_in = min(cfg.tol_fix, cfg.tol_tau), or after cfg.max_inner
-    iterations.  Each q is projected by _sinkhorn to tol_p = max(1e-14,
+    iterations.  With off_target_exit it also stops at the first q whose
+    tau misses the target, miss = |sum q S(q) - cfg.target_tau| >
+    cfg.tol_tau, while max|R| <= _FORCING * miss: the outer search cannot
+    accept that tau and needs only its side of the target and its first
+    digits (the forcing term of inexact Newton methods, Dembo, Eisenstat &
+    Steihaug 1982).  Each q is projected by _sinkhorn to tol_p = max(1e-14,
     min(MARGINAL_TOL, 0.01 tol_in / max(1, 2|lambda_d|))): a marginal error
     delta moves the residual by about 2 |lambda_d| delta, so the projection
     stays below the residual's tolerance.
@@ -308,7 +322,8 @@ def inner_fixed_point(
     once as its state's density, with the row and column potentials of
     its masses (the row and column means of log q - 2 lambda_d S(q), less
     the grand mean); tau = sum q S(q); max|R|; one outer iteration and
-    this evaluation's step count; converged judged against cfg.
+    this evaluation's step count; converged judged against cfg, so an
+    evaluation that took the off-target exit is never converged.
     """
     p = start.masses
     if np.any(p <= 0.0):
@@ -341,6 +356,10 @@ def inner_fixed_point(
         resid = float(np.abs(R).max())
         if resid <= tol_in:
             break
+        if off_target_exit:
+            miss = abs(float(np.sum(p * S)) - cfg.target_tau)
+            if miss > cfg.tol_tau and resid <= _FORCING * miss:
+                break
         F = -d * R
         G = L + F
         if G_prev is not None:
@@ -420,12 +439,17 @@ def solve_mick(cfg: SolverConfig) -> SolverReport:
     |lambda| / 2); once the target is bracketed, a guess outside the
     bracket becomes its midpoint, and a non-positive slope falls back to a
     capped step toward the target.  Each evaluation is an
-    inner_fixed_point and yields its own report.  The search returns the
-    last one, within cfg.tol_tau of the target, with the search's total
-    outer and inner counts.  Running past |lambda| = 200 unbracketed raises
-    BracketFailure with the range of the evaluations' tau; using up
-    cfg.max_outer evaluations raises NoConvergence carrying the report of
-    the first evaluation closest to the target, with the same totals.
+    inner_fixed_point with the off-target exit and yields its own report:
+    an evaluation whose tau misses the target by miss > cfg.tol_tau stops
+    once its residual is within _FORCING * miss, so the search's early,
+    far evaluations stop well short of tol_in.  The search returns the
+    last one, within cfg.tol_tau of the target and so never stopped early,
+    with the search's total outer and inner counts.  Running past
+    |lambda| = 200 unbracketed raises BracketFailure with the range of the
+    evaluations' tau; using up cfg.max_outer evaluations raises
+    NoConvergence carrying the report of the first evaluation closest to
+    the target, with the same totals; that evaluation may have stopped at
+    the off-target exit.
 
     With multiplier_init "auto" the first evaluation starts from the Frank
     checkerboard at theta(tau) -- the paper's answer, within O(n^-2) of the
@@ -467,7 +491,7 @@ def solve_mick(cfg: SolverConfig) -> SolverReport:
     slope = 4.0 * _tau_slope(4.0 * lam)
     lo = hi = None  # multipliers whose tau fell below / above the target
     while True:
-        report = inner_fixed_point(start, lam, cfg)
+        report = inner_fixed_point(start, lam, cfg, True)
         reports.append(report)
         tau = report.achieved_tau
         if abs(tau - target) <= cfg.tol_tau:

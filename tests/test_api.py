@@ -60,7 +60,7 @@ def test_solver_signatures():
         return list(inspect.signature(fn).parameters)
 
     assert params(solve_mick) == ["cfg"]
-    assert params(inner_fixed_point) == ["start", "lambda_d", "cfg"]
+    assert params(inner_fixed_point) == ["start", "lambda_d", "cfg", "off_target_exit"]
     assert params(sinkhorn_project) == ["kernel"]
 
 

@@ -176,6 +176,68 @@ class TestInnerFixedPoint:
         assert np.max(np.abs(state.density.masses - reference)) <= 1e-9
 
 
+def bridge_evaluation(n, tau, tol_tau, off_target_exit=False):
+    """The first evaluation of solve_mick's search: at lambda_0 = theta(tau)
+    / 4 from the Frank checkerboard."""
+    lam = theta_from_tau(tau, 1e-10).theta / 4.0
+    start = frank_checkerboard(FrankParameter(4.0 * lam), n)
+    cfg = SolverConfig(n=n, target_tau=tau, tol_tau=tol_tau)
+    return inner_fixed_point(start, lam, cfg, off_target_exit)
+
+
+# (n, tau) -> steps of the exact first evaluation at tol_tau 1e-6 and 1e-10
+EXACT_BRIDGE_STEPS = {
+    (16, 0.9): (16, 17), (32, 0.95): (15, 17), (64, -0.6): (6, 7), (8, 0.307): (7, 7)
+}
+
+
+class TestOffTargetExit:
+    @pytest.mark.parametrize("tol_tau", [1e-6, 1e-10])
+    @pytest.mark.parametrize("n, tau", sorted(EXACT_BRIDGE_STEPS))
+    def test_early_tau_is_good_enough_for_the_secant(self, n, tau, tol_tau):
+        early = bridge_evaluation(n, tau, tol_tau, True)
+        exact = bridge_evaluation(n, tau, tol_tau)
+        miss = abs(early.achieved_tau - tau)
+        assert early.inner_iterations_total < exact.inner_iterations_total
+        assert miss > tol_tau and not early.converged
+        assert early.stationarity_residual <= mick_solver._FORCING * miss
+        # on the same side of the target, and close to the exact tau
+        assert (early.achieved_tau > tau) == (exact.achieved_tau > tau)
+        assert abs(early.achieved_tau - exact.achieved_tau) <= 0.1 * miss
+
+    @pytest.mark.parametrize("tol_tau", [1e-6, 1e-10])
+    @pytest.mark.parametrize("n, tau", sorted(EXACT_BRIDGE_STEPS))
+    def test_flag_off_runs_to_tol_in(self, n, tau, tol_tau):
+        # the exact exit alone, with the step counts of the solver before
+        # the off-target exit
+        exact = bridge_evaluation(n, tau, tol_tau)
+        again = bridge_evaluation(n, tau, tol_tau, False)
+        assert np.array_equal(exact.state.density.masses, again.state.density.masses)
+        assert exact.achieved_tau == again.achieved_tau
+        assert exact.stationarity_residual <= min(1e-9, tol_tau)
+        steps = EXACT_BRIDGE_STEPS[(n, tau)][tol_tau == 1e-10]
+        assert exact.inner_iterations_total == steps
+
+    def test_accepted_evaluation_is_the_exact_one(self, monkeypatch):
+        # an evaluation the search accepts is within tol_tau, so it never
+        # took the off-target exit: the flag changes none of its bits
+        calls = []
+        original = mick_solver.inner_fixed_point
+
+        def recorded(*args):
+            calls.append((args, original(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(mick_solver, "inner_fixed_point", recorded)
+        report = solve_mick(SolverConfig(n=16, target_tau=0.9))
+        (start, lam, cfg, flag), last = calls[-1]
+        assert flag and len(calls) > 1
+        exact = original(start, lam, cfg)
+        assert np.array_equal(exact.state.density.masses, report.state.density.masses)
+        assert exact.achieved_tau == report.achieved_tau
+        assert exact.inner_iterations_total == last.inner_iterations_total
+
+
 class TestOuterSearch:
     def test_multiplier_near_quarter_theta(self):
         state = solve_mick(SolverConfig(n=8, target_tau=0.307)).state
@@ -280,7 +342,7 @@ class TestOuterSearch:
         # a tau(lambda) that saturates below the target drives lambda past 200
         taus = []
 
-        def saturating(start, lambda_d, cfg):
+        def saturating(start, lambda_d, cfg, off_target_exit=False):
             taus.append(0.2 * math.tanh(lambda_d))
             state = SolverState(start, lambda_d, np.zeros(cfg.n), np.zeros(cfg.n))
             return SolverReport(state, taus[-1], 0.0, 1, 1, False, 4.0 * lambda_d)
@@ -404,6 +466,26 @@ class TestSolveMick:
         # max_outer = 0 to report "exhausted 0 evaluations" after one
         with pytest.raises(ValueError):
             SolverConfig(n=8, target_tau=0.307, **{limit: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", 8.0), ("max_inner", 2.5), ("max_outer", 3.5), ("n", True),
+         ("max_inner", "10"), ("max_outer", np.float64(3.0))],
+    )
+    def test_non_integral_size_or_limit_rejected(self, field, value):
+        # n = 8.0 and max_inner = 2.5 used to fail deep in numpy with a
+        # TypeError, and max_outer = 3.5 was accepted
+        with pytest.raises(ValueError):
+            SolverConfig(**{"n": 8, "target_tau": 0.307, field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = SolverConfig(
+            n=np.int64(8),
+            target_tau=0.307,
+            max_inner=np.int32(5000),
+            max_outer=np.uint8(60),
+        )
+        assert solve_mick(cfg).converged
 
     def test_nonfinite_multiplier_init_rejected(self):
         for bad in (float("nan"), float("inf")):
@@ -706,6 +788,11 @@ class TestHighTau:
         report, _ = high_tau_solve(16, 0.9)
         assert report.converged and report.outer_iterations <= 8
 
+    def test_inner_steps(self):
+        # 163 when every evaluation ran to tol_in
+        reports = [high_tau_solve(n, tau)[0] for n, tau in self.REFERENCE]
+        assert sum(r.inner_iterations_total for r in reports) <= 100
+
 
 @lru_cache(maxsize=None)
 def newton_counted_solve(n, tau):
@@ -746,13 +833,15 @@ def bridge_multiplier(tau):
 
 
 @lru_cache(maxsize=None)
-def start_pair(n, tau):
+def start_pair(n, tau, tol_tau=SolverConfig.tol_tau):
     """Reports of the default solve, which starts on the Frank checkerboard,
     and of the same first multiplier given explicitly, which starts on the
     uniform board."""
-    frank = solve_mick(SolverConfig(n=n, target_tau=tau))
+    frank = solve_mick(SolverConfig(n=n, target_tau=tau, tol_tau=tol_tau))
     uniform = solve_mick(
-        SolverConfig(n=n, target_tau=tau, multiplier_init=bridge_multiplier(tau))
+        SolverConfig(
+            n=n, target_tau=tau, tol_tau=tol_tau, multiplier_init=bridge_multiplier(tau)
+        )
     )
     return frank, uniform
 
@@ -769,7 +858,7 @@ class TestFrankStart:
         class Started(Exception):
             pass
 
-        def record(start, lambda_d, cfg):
+        def record(start, lambda_d, cfg, off_target_exit=False):
             raise Started(start.masses)
 
         monkeypatch.setattr(mick_solver, "inner_fixed_point", record)
@@ -794,12 +883,24 @@ class TestFrankStart:
 
     @pytest.mark.parametrize("n, tau", START_POINTS)
     def test_start_does_not_change_the_answer(self, n, tau):
-        # the problem is non-convex: both starts must reach the same point
-        frank, uniform = start_pair(n, tau)
+        # the problem is non-convex: both starts must reach the same point.
+        # The off-target exit makes the lambda path depend on the start
+        # within the tol_tau band (up to 6.8e-9 in masses at the default),
+        # so the pair is solved at a tau tolerance below that band
+        frank, uniform = start_pair(n, tau, 1e-11)
         assert frank.converged and uniform.converged
         gap = frank.state.density.masses - uniform.state.density.masses
         assert np.max(np.abs(gap)) <= 1e-10
         assert abs(frank.implied_theta - uniform.implied_theta) <= 1e-8
+
+    @pytest.mark.parametrize("tol_tau", [SolverConfig.tol_tau, 1e-11])
+    @pytest.mark.parametrize("n, tau", START_POINTS)
+    def test_returned_report_is_solved_to_tol_in(self, n, tau, tol_tau):
+        tol_in = min(SolverConfig.tol_fix, tol_tau)
+        for report in start_pair(n, tau, tol_tau):
+            assert report.converged
+            assert abs(report.achieved_tau - tau) <= tol_tau
+            assert report.stationarity_residual <= tol_in
 
     @pytest.mark.parametrize("n, tau", START_POINTS)
     def test_discrete_liouville_equation(self, n, tau):
@@ -850,17 +951,19 @@ class TestTransportedStart:
         # 150 in total and 9 at n = 256 when each evaluation started from
         # the previous masses untransported; 100 when the damped map was
         # centred apart from the residual, so Anderson's first residual kept
-        # the first log-kernel's row and column means
+        # the first log-kernel's row and column means; 82 when every
+        # evaluation ran to tol_in
         grids = (4, 8, 16, 32, 64, 128, 256)
         reports = {n: solve_mick(SolverConfig(n=n, target_tau=0.307)) for n in grids}
         assert all(r.converged for r in reports.values())
         assert [r.outer_iterations for r in reports.values()] == [5, 4, 3, 3, 2, 2, 2]
-        assert sum(r.inner_iterations_total for r in reports.values()) <= 90
+        assert sum(r.inner_iterations_total for r in reports.values()) <= 60
         assert reports[256].inner_iterations_total <= 3
 
     def test_high_tau_inner_steps(self):
-        frank, _ = start_pair(128, 0.93)  # 40 untransported
-        assert frank.inner_iterations_total <= 32
+        # 40 untransported, 26 when every evaluation ran to tol_in
+        frank, _ = start_pair(128, 0.93)
+        assert frank.inner_iterations_total <= 20
 
     @pytest.mark.parametrize("init", ["auto", 0.5])
     def test_one_frank_board_per_evaluation(self, monkeypatch, init):
