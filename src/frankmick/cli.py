@@ -65,7 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--tol-tau", type=float, default=SolverConfig.tol_tau)
     p.add_argument("--tol-fix", type=float, default=SolverConfig.tol_fix)
-    p.add_argument("--damping", type=float, default=SolverConfig.damping)
     p.add_argument("--out", required=True)
 
     p = msub.add_parser("compare", help="sup-norm gap of a report vs Frank")
@@ -117,11 +116,8 @@ def _run(args) -> int:
             print(args.out)
         elif args.command == "sample":
             pairs = cc.frank_sample(param, args.count, args.seed)
-            _write(
-                args.out,
-                "u,v\n"
-                + "".join(f"{u!r},{v!r}\n" for u, v in pairs),
-            )
+            rows = "".join(f"{u!r},{v!r}\n" for u, v in pairs.tolist())
+            _write(args.out, "u,v\n" + rows)
             print(args.out)
     elif args.group == "mick":
         if args.command == "solve":
@@ -130,7 +126,6 @@ def _run(args) -> int:
                 target_tau=args.tau,
                 tol_tau=args.tol_tau,
                 tol_fix=args.tol_fix,
-                damping=args.damping,
             )
             report = solve_mick(cfg)
             _write(args.out, report.to_json(cfg))

@@ -100,26 +100,28 @@ class CheckerboardDensity:
 
     # -- serialization ----------------------------------------------------
 
+    def _record(self, tau=None, theta=None) -> dict:
+        """The JSON object of the board: n, row-major masses and meta."""
+        return {
+            "n": self.n,
+            "masses": self.masses.ravel().tolist(),
+            "meta": {"tau": tau, "theta": theta},
+        }
+
+    @classmethod
+    def _from_record(cls, obj: dict) -> "CheckerboardDensity":
+        n = int(obj["n"])
+        return cls(n, np.array(obj["masses"], dtype=float).reshape(n, n))
+
     def to_json(self, tau=None, theta=None) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "masses": [float(x) for x in self.masses.ravel()],
-                "meta": {"tau": tau, "theta": theta},
-            }
-        )
+        return json.dumps(self._record(tau, theta))
 
     @classmethod
     def from_json(cls, text: str) -> "CheckerboardDensity":
-        obj = json.loads(text)
-        n = int(obj["n"])
-        m = np.array(obj["masses"], dtype=float).reshape(n, n)
-        return cls(n, m)
+        return cls._from_record(json.loads(text))
 
     def to_csv(self) -> str:
-        lines = [
-            ",".join(repr(float(x)) for x in row) for row in self.masses
-        ]
+        lines = [",".join(map(repr, row)) for row in self.masses.tolist()]
         return "\n".join(lines) + "\n"
 
     @classmethod

@@ -104,11 +104,9 @@ class SolverReport:
     def to_json(self, cfg: SolverConfig | None = None) -> str:
         obj = {f: getattr(self, f) for f in _scalar_fields()}
         obj["multiplier"] = self.state.multiplier
-        obj["row_potentials"] = [float(x) for x in self.state.row_potentials]
-        obj["col_potentials"] = [float(x) for x in self.state.col_potentials]
-        obj["density"] = json.loads(
-            self.state.density.to_json(tau=self.achieved_tau, theta=self.implied_theta)
-        )
+        obj["row_potentials"] = self.state.row_potentials.tolist()
+        obj["col_potentials"] = self.state.col_potentials.tolist()
+        obj["density"] = self.state.density._record(self.achieved_tau, self.implied_theta)
         if cfg is not None:
             obj["config"] = asdict(cfg)
         return json.dumps(obj)
@@ -116,9 +114,8 @@ class SolverReport:
     @classmethod
     def from_json(cls, text: str) -> "SolverReport":
         obj = json.loads(text)
-        density = CheckerboardDensity.from_json(json.dumps(obj["density"]))
         state = SolverState(
-            density=density,
+            density=CheckerboardDensity._from_record(obj["density"]),
             multiplier=obj["multiplier"],
             row_potentials=np.array(obj["row_potentials"]),
             col_potentials=np.array(obj["col_potentials"]),

@@ -6,6 +6,9 @@ gradient optimizer.  None of it shares code paths with the library
 routines it checks.
 """
 
+import json
+from dataclasses import asdict
+
 import mpmath
 import numpy as np
 
@@ -288,3 +291,41 @@ def frank_cells_mp(theta, n, cells, dps):
             float(cdf(i + 1, j + 1) - cdf(i, j + 1) - cdf(i + 1, j) + cdf(i, j))
             for i, j in cells
         ]
+
+
+def reference_board_json(board, tau=None, theta=None) -> str:
+    """A board's JSON text, element by element as the format first shipped."""
+    masses = [float(x) for x in board.masses.ravel()]
+    return json.dumps(
+        {"n": board.n, "masses": masses, "meta": {"tau": tau, "theta": theta}}
+    )
+
+
+def reference_board_csv(board) -> str:
+    rows = [",".join(repr(float(x)) for x in row) for row in board.masses]
+    return "\n".join(rows) + "\n"
+
+
+def reference_report_json(report, cfg) -> str:
+    """A report's JSON text, its board nested through a second JSON pass."""
+    obj = {
+        name: getattr(report, name)
+        for name in (
+            "achieved_tau",
+            "stationarity_residual",
+            "outer_iterations",
+            "inner_iterations_total",
+            "converged",
+            "implied_theta",
+        )
+    }
+    obj["multiplier"] = report.state.multiplier
+    obj["row_potentials"] = [float(x) for x in report.state.row_potentials]
+    obj["col_potentials"] = [float(x) for x in report.state.col_potentials]
+    obj["density"] = json.loads(
+        reference_board_json(
+            report.state.density, report.achieved_tau, report.implied_theta
+        )
+    )
+    obj["config"] = asdict(cfg)
+    return json.dumps(obj)

@@ -1,11 +1,16 @@
+import argparse
 import json
+import re
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from frankmick import CheckerboardDensity, SolverConfig
-from frankmick.cli import cli_main
+from frankmick import CheckerboardDensity, FrankParameter, SolverConfig, frank_sample
+from frankmick.cli import _build_parser, cli_main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -70,6 +75,10 @@ class TestFrankCommands:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "u,v"
         assert len(lines) == 101
+        rows = [[float(tok) for tok in line.split(",")] for line in lines[1:]]
+        assert all(len(row) == 2 for row in rows)
+        drawn = frank_sample(FrankParameter(3.0), 100, 7)
+        assert np.array(rows).tobytes() == drawn.tobytes()
 
 
 class TestMickCommands:
@@ -129,6 +138,21 @@ class TestMickCommands:
         assert "n=8 failed: TauInfeasible" in err
         assert "n=16 failed" not in err
 
+    def test_sweep_without_a_solved_grid(self, capsys, tmp_path):
+        csv_path = tmp_path / "sweep.csv"
+        svg_path = tmp_path / "sweep.svg"
+        code, _, err = run(
+            capsys, "mick", "sweep", "--tau", "0.93", "--grids", "4,8",
+            "--out", str(csv_path), "--svg", str(svg_path),
+        )
+        assert code == 1
+        assert "n=4 failed: TauInfeasible" in err
+        assert "n=8 failed: TauInfeasible" in err
+        assert "ValueError" not in err
+        header = "n,sup_error,achieved_tau,implied_theta,converged\n"
+        assert csv_path.read_text() == header
+        assert svg_path.read_text().startswith("<svg")
+
 
 class TestVerifyCommands:
     def test_identity(self, capsys):
@@ -170,3 +194,35 @@ class TestErrorHandling:
         assert code == 1
         diag = json.loads(err.strip().splitlines()[-1])
         assert diag["error"] == "TauInfeasible"
+
+    def test_solve_has_no_damping_option(self, capsys, tmp_path):
+        code, _, _ = run(
+            capsys, "mick", "solve", "--tau", "0.307", "--n", "8",
+            "--damping", "0.5", "--out", str(tmp_path / "x.json"),
+        )
+        assert code == 2
+
+
+def subcommands(parser):
+    (action,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
+def test_every_option_is_in_readme():
+    # each subcommand's options appear on its lines of README's CLI block
+    block = README.read_text().split("## CLI", 1)[1].split("```")[1]
+    for group, group_parser in subcommands(_build_parser()).items():
+        for command, parser in subcommands(group_parser).items():
+            prefix = f"frankmick {group} {command} "
+            lines = [ln for ln in block.splitlines() if ln.startswith(prefix)]
+            assert lines, prefix
+            for action in parser._actions:
+                for opt in action.option_strings:
+                    if opt in ("-h", "--help"):
+                        continue
+                    pattern = re.escape(opt) + r"(?![\w-])"
+                    assert any(re.search(pattern, ln) for ln in lines), (
+                        f"{prefix}{opt}"
+                    )

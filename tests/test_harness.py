@@ -11,6 +11,7 @@ from frankmick import (
     sweep_to_csv,
     sweep_to_svg,
 )
+from frankmick import harness
 from frankmick.copula_core import THETA_SUPPORT
 from frankmick.errors import GridMismatch
 
@@ -94,6 +95,23 @@ class TestConvergenceSweep:
         assert np.isfinite(result.sup_errors[0]) and result.sup_errors[0] > 0.0
         assert "TauInfeasible" in result.failures[8]
         assert 16 not in result.failures
+
+    def test_theta_beyond_board_support_fails_without_solving(self, monkeypatch):
+        # theta(0.99) > CHECKERBOARD_SUPPORT: no reference board, so no solve
+        calls = []
+        solve = harness.solve_mick
+        monkeypatch.setattr(
+            harness, "solve_mick", lambda cfg: calls.append(cfg) or solve(cfg)
+        )
+        result = convergence_sweep(
+            0.99, [128, 256], SolverConfig(n=128, target_tau=0.99)
+        )
+        assert calls == []
+        assert result.grid_sizes == [] and sorted(result.failures) == [128, 256]
+        assert all(
+            msg.startswith("ThetaOutOfSupport") for msg in result.failures.values()
+        )
+        assert sweep_to_svg(result).startswith("<svg")
 
     def test_repeated_sweep_identical(self, sweep_0307):
         again = convergence_sweep(

@@ -40,6 +40,9 @@ from _oracles import (
     newton_block_step,
     projected_gradient_mick,
     random_feasible_with_tau,
+    reference_board_csv,
+    reference_board_json,
+    reference_report_json,
     sinkhorn_sweeps,
 )
 
@@ -552,6 +555,73 @@ class TestSolverReportSerialization:
             "config",
         ]
         assert list(obj["config"]) == [f.name for f in fields(SolverConfig)]
+
+
+#: the sweep_mid grids, two high-tau solves, tau = 0, and a search that
+#: raises NoConvergence (its report is the one serialized)
+FIXED_CONFIGS = {
+    **{f"sweep_mid-{n}": SolverConfig(n, 0.307) for n in (4, 8, 16, 32, 64, 128, 256)},
+    "16-0.9": SolverConfig(16, 0.9),
+    "32-0.95": SolverConfig(32, 0.95),
+    "8-0.0": SolverConfig(8, 0.0),
+    "no_convergence": SolverConfig(8, 0.307, max_outer=2, multiplier_init=0.0),
+}
+
+
+@lru_cache(maxsize=None)
+def fixed_report(case):
+    cfg = FIXED_CONFIGS[case]
+    if case != "no_convergence":
+        return cfg, solve_mick(cfg)
+    with pytest.raises(NoConvergence) as err:
+        solve_mick(cfg)
+    return cfg, err.value.report
+
+
+class TestSerializedBytes:
+    @pytest.mark.parametrize("case", FIXED_CONFIGS)
+    def test_text_matches_reference_encoding(self, case):
+        cfg, report = fixed_report(case)
+        board = report.state.density
+        assert report.to_json(cfg) == reference_report_json(report, cfg)
+        tau, theta = report.achieved_tau, report.implied_theta
+        assert board.to_json(tau, theta) == reference_board_json(board, tau, theta)
+        assert board.to_csv() == reference_board_csv(board)
+
+    @pytest.mark.parametrize("case", FIXED_CONFIGS)
+    def test_round_trip_arrays_equal(self, case):
+        cfg, report = fixed_report(case)
+        again = SolverReport.from_json(report.to_json(cfg))
+        state, kept = again.state, report.state
+        np.testing.assert_array_equal(state.density.masses, kept.density.masses)
+        np.testing.assert_array_equal(state.row_potentials, kept.row_potentials)
+        np.testing.assert_array_equal(state.col_potentials, kept.col_potentials)
+        assert state.multiplier == kept.multiplier
+        for f in fields(SolverReport):
+            if f.name != "state":
+                assert getattr(again, f.name) == getattr(report, f.name)
+
+    def test_one_json_pass_each_way(self, monkeypatch):
+        cfg = SolverConfig(n=6, target_tau=0.25)
+        report = solve_mick(cfg)
+        calls = {"dumps": 0, "loads": 0}
+
+        def counted(name):
+            real = getattr(json, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(json, name, counted(name))
+        text = report.to_json(cfg)
+        assert calls == {"dumps": 1, "loads": 0}
+        calls.update(dumps=0, loads=0)
+        SolverReport.from_json(text)
+        assert calls == {"dumps": 0, "loads": 1}
 
 
 class TestSinkhornIllConditioned:
