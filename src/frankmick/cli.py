@@ -24,6 +24,19 @@ from .harness import convergence_sweep, compare_to_frank, sweep_to_csv, sweep_to
 from .mick_solver import SolverConfig, SolverReport, solve_mick
 
 
+def _grid_sizes(text: str) -> list[int]:
+    """--grids: comma-separated positive integers in ascending order."""
+    try:
+        grids = [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}")
+    if min(grids) < 1 or grids != sorted(grids):
+        raise argparse.ArgumentTypeError(
+            f"grid sizes must be positive and ascending: {text!r}"
+        )
+    return grids
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="frankmick")
     groups = top.add_subparsers(dest="group", required=True)
@@ -73,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = msub.add_parser("sweep", help="gap vs grid size sweep")
     p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--grids", default="4,8,16,32,64")
+    p.add_argument("--grids", type=_grid_sizes, default="4,8,16,32,64")
     p.add_argument("--out", required=True)
     p.add_argument("--svg", default=None)
 
@@ -139,8 +152,8 @@ def _run(args) -> int:
             gap = compare_to_frank(report, cc.FrankParameter(args.theta))
             print(f"{gap:.12g}")
         elif args.command == "sweep":
-            grids = [int(tok) for tok in args.grids.split(",")]
-            result = convergence_sweep(args.tau, grids, SolverConfig(max(grids), 0.5))
+            template = SolverConfig(max(args.grids), 0.5)
+            result = convergence_sweep(args.tau, args.grids, template)
             _write(args.out, sweep_to_csv(result))
             if args.svg:
                 _write(args.svg, sweep_to_svg(result))

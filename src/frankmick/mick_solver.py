@@ -429,13 +429,17 @@ def solve_mick(cfg: SolverConfig) -> SolverReport:
 
     Deterministic given the config.  Tau = 0 returns the uniform board at
     lambda_d = 0; a target beyond the grid's attainable range raises
-    TauInfeasible.  Otherwise the multiplier search starts at lambda_0 =
-    theta(tau) / 4 (or cfg.multiplier_init) and steps along the Frank
-    bridge's slope dtau/dlambda = 4 tau'(4 lambda_0), then by secants
-    through the last two evaluations, each step capped at max(0.25,
-    |lambda| / 2); once the target is bracketed, a guess outside the
-    bracket becomes its midpoint, and a non-positive slope falls back to a
-    capped step toward the target.  Each evaluation is an
+    TauInfeasible.  Otherwise the multiplier search starts at the
+    closed-form discrete answer lambda_0 = (theta + 2 theta / (9 tau'(theta)
+    n^2)) / 4, theta = theta(tau) (or at cfg.multiplier_init): the Frank
+    checkerboard's tau falls 2 theta / (9 n^2) + O(n^-4) short of
+    tau(theta), so the discrete solution's implied theta lies that deficit
+    over tau' above theta.  It steps along the Frank bridge's slope
+    dtau/dlambda = 4 tau'(4 lambda_0), then by secants through the last
+    two evaluations, each step capped at max(0.25, |lambda| / 2); once the
+    target is bracketed, a guess outside the bracket becomes its midpoint,
+    and a non-positive slope falls back to a capped step toward the
+    target.  Each evaluation is an
     inner_fixed_point with the off-target exit and yields its own report:
     an evaluation whose tau misses the target by miss > cfg.tol_tau stops
     once its residual is within _FORCING * miss, so the search's early,
@@ -449,18 +453,21 @@ def solve_mick(cfg: SolverConfig) -> SolverReport:
     the off-target exit.
 
     With multiplier_init "auto" the first evaluation starts from the Frank
-    checkerboard at theta(tau) -- the paper's answer, within O(n^-2) of the
-    discrete one -- when |theta(tau)| <= CHECKERBOARD_SUPPORT, and
+    checkerboard F(4 lambda_0) -- the paper's answer, within O(n^-2) of the
+    discrete one -- when |4 lambda_0| <= CHECKERBOARD_SUPPORT, and
     otherwise, as with an explicit multiplier_init, from the uniform board.
+    On fine grids the first evaluation is often accepted, and its implied
+    theta is then the seed itself, right to within tol_tau / tau'.
     Each later evaluation, at lambda', starts from the previous one's
     masses p at lambda transported along the Frank boards:
     Sinkhorn(p F(4 lambda') / F(4 lambda)), F(theta) the Frank checkerboard
     and F(0) the uniform board (_transport).  As p - F(4 lambda) is
     O(n^-2), this start misses the solution at lambda' by O(dlambda n^-2 +
-    dlambda^2), not O(dlambda): at (256, 0.307) the second evaluation takes
-    1 inner step instead of 8.  When either |4 lambda| exceeds
-    CHECKERBOARD_SUPPORT, or the kernel underflows, it starts from p.  Each
-    evaluation builds one Frank board and keeps it for the next.
+    dlambda^2), not O(dlambda): from lambda_0 = theta(tau) / 4, the second
+    evaluation at (256, 0.307) took 1 inner step instead of 8.  When
+    either |4 lambda| exceeds CHECKERBOARD_SUPPORT, or the kernel
+    underflows, it starts from p.  Each evaluation builds one Frank board
+    and keeps it for the next.
     """
     target = cfg.target_tau
     if target == 0.0:
@@ -474,7 +481,8 @@ def solve_mick(cfg: SolverConfig) -> SolverReport:
             f"n = {cfg.n} grid (max {limit})"
         )
     if cfg.multiplier_init == "auto":
-        lam = theta_from_tau(target).theta / 4.0
+        theta = theta_from_tau(target).theta
+        lam = (theta + 2.0 * theta / (9.0 * _tau_slope(theta) * cfg.n**2)) / 4.0
     else:
         lam = float(cfg.multiplier_init)
     board = _frank_board(lam, cfg.n)  # F(4 lambda) of the last evaluation

@@ -195,6 +195,16 @@ class TestErrorHandling:
         diag = json.loads(err.strip().splitlines()[-1])
         assert diag["error"] == "TauInfeasible"
 
+    @pytest.mark.parametrize("grids", ["4,x", "8,4", "0,4"])
+    def test_bad_grids_are_usage_errors(self, capsys, tmp_path, grids):
+        code, _, err = run(
+            capsys, "mick", "sweep", "--tau", "0.307", "--grids", grids,
+            "--out", str(tmp_path / "sweep.csv"),
+        )
+        assert code == 2
+        assert "argument --grids" in err
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_solve_has_no_damping_option(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "mick", "solve", "--tau", "0.307", "--n", "8",

@@ -19,12 +19,14 @@ from frankmick import (
     FrankParameter,
     debye_d1,
     frank_checkerboard,
+    kendall_tau_checkerboard,
     tau_from_theta,
     theta_from_tau,
 )
 from frankmick.copula_core import CHECKERBOARD_SUPPORT, _tau_slope
 
 from _oracles import (
+    brute_tau,
     frank_cells_mp,
     frank_d1_mp,
     frank_tau_mp,
@@ -124,6 +126,38 @@ class TestCheckerboardAgainstMpmath:
     def test_support_bound(self):
         frank_checkerboard(FrankParameter(CHECKERBOARD_SUPPORT), 8)
         frank_checkerboard(FrankParameter(-CHECKERBOARD_SUPPORT), 8)
+
+
+def deficit_remainder(theta, n):
+    """tau(theta) - tau_cb(F_theta, n) - 2 theta / (9 n^2): what the
+    checkerboard lemma leaves of the Frank checkerboard's tau deficit."""
+    board = frank_checkerboard(FrankParameter(theta), n)
+    tau = tau_from_theta(FrankParameter(theta))
+    return tau - kendall_tau_checkerboard(board) - 2.0 * theta / (9.0 * n**2)
+
+
+class TestCheckerboardTauDeficit:
+    # the within-cell ties cost the checkerboard (1 / 3n^2) times the
+    # integral of the local dependence d2 log c / du dv against G(1 - G)
+    # and H(1 - H), G and H the conditional cdfs; Frank's local dependence
+    # is 2 theta c, which makes the deficit 2 theta / (9 n^2) + O(n^-4).
+    # The remainder shrinks 13.3-16.0x per doubling from n = 16
+    THETAS = [3.0, -7.93, 38.28]  # tau = 0.307, -0.6, 0.9
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_remainder_is_fourth_order(self, theta):
+        rests = [deficit_remainder(theta, n) for n in (32, 64, 128, 256, 512)]
+        assert all(abs(a) >= 12.0 * abs(b) for a, b in zip(rests, rests[1:]))
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_remainder_from_mpmath_cells(self, theta):
+        n = 16
+        cells = [(i, j) for i in range(n) for j in range(n)]
+        dps = 40 + int(0.87 * abs(theta))
+        masses = np.array(frank_cells_mp(theta, n, cells, dps)).reshape(n, n)
+        rest = frank_tau_mp(theta) - brute_tau(masses) - 2.0 * theta / (9.0 * n**2)
+        assert abs(rest - deficit_remainder(theta, n)) <= 1e-13
+        assert abs(rest) >= 12.0 * abs(deficit_remainder(theta, 2 * n))
 
 
 def test_import_leaves_scipy_unloaded():
