@@ -11,6 +11,26 @@ from .copula_core import CheckerboardDensity, FrankParameter, GridFunction, fran
 from .errors import NonPositiveDensity
 
 
+#: from this many rows on, the running sum down the columns adds row by
+#: row: numpy's axis-0 cumsum walks each column with a stride of one row,
+#: which at n = 1024 takes 11 ms against 2 ms for the row adds (0.25 ms
+#: either way at n = 256, and the cumsum is faster below; 2-CPU VM,
+#: numpy 2.4)
+_ROW_ADDS_FROM = 256
+
+
+def _column_running_sum(m: np.ndarray) -> np.ndarray:
+    """m.cumsum(axis=0), bit for bit: each row is the previous sum plus
+    the row, in the order the cumsum adds them."""
+    if m.shape[0] < _ROW_ADDS_FROM:
+        return m.cumsum(axis=0)
+    C = np.empty_like(m)
+    C[0] = m[0]
+    for i in range(1, m.shape[0]):
+        np.add(C[i - 1], m[i], out=C[i])
+    return C
+
+
 def _potential_from_masses(m: np.ndarray) -> np.ndarray:
     """O(n^2) assembly of S as two signed prefix passes, one per axis.
 
@@ -27,7 +47,7 @@ def _potential_from_masses(m: np.ndarray) -> np.ndarray:
     """
     S = m
     for axis in (0, 1):
-        C = S.cumsum(axis=axis)
+        C = _column_running_sum(S) if axis == 0 else S.cumsum(axis=1)
         T = C.take([-1], axis=axis)
         C *= 2.0
         C -= S
@@ -53,7 +73,9 @@ def kendall_tau_checkerboard(c: CheckerboardDensity) -> float:
     mass is uniform within each cell, so only the pure sign-sum over
     distinct cell indices remains.
     """
-    return float(np.sum(c.masses * _potential_from_masses(c.masses)))
+    S = _potential_from_masses(c.masses)
+    S *= c.masses
+    return float(S.sum())
 
 
 def liouville_residual(density_eval, constant: float, n: int) -> GridFunction:

@@ -13,6 +13,9 @@ denominator rearrangement
         = e^{-tu}(1 - e^{-tv}) + e^{-tv}(1 - e^{-t(1-v)})
 
 whose right-hand side is a sum of same-sign terms, so it never cancels.
+The checkerboard evaluates only its top half: the Frank copula is radially
+symmetric, C(u, v) = u + v - 1 + C(1 - u, 1 - v), and the bottom half is
+the top half turned by half a turn.
 """
 
 from __future__ import annotations
@@ -390,6 +393,11 @@ def frank_checkerboard(p: FrankParameter, n: int) -> CheckerboardDensity:
     cancels.  It is computed at |theta| (C_{-theta}(u, v) = u - C_theta(u,
     1 - v), so a negative theta reverses the columns).  Accepts |theta| up
     to ``CHECKERBOARD_SUPPORT``.
+
+    The Frank copula is radially symmetric, C(u, v) = u + v - 1 + C(1 - u,
+    1 - v), so cell (i, j) holds the mass of cell (n-1-i, n-1-j): only the
+    top ceil(n/2) rows are evaluated, and the board is exactly equal to
+    itself turned half a turn.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -399,20 +407,26 @@ def frank_checkerboard(p: FrankParameter, n: int) -> CheckerboardDensity:
             f"the Frank checkerboard, got {p.theta}"
         )
     t = abs(p.theta)
+    h = (n + 1) // 2
     nodes = np.arange(n + 1) / n
     e = np.exp(-t * nodes)
-    # -k A(u, v) = _bracket at all node pairs
-    bracket = _bracket(t, e[:, None], e, nodes)
+    # -k A(u, v) = _bracket at the node pairs of the top h rows
+    bracket = _bracket(t, e[: h + 1, None], e, nodes)
     # -da_i = e^{-t u_i} (1 - e^{-t/n}); each factor is divided in before
     # the next is multiplied in, so no partial product leaves the normal
     # range (tiny theta included)
     da = e[:n] * _em(t / n)
-    masses = da[:, None] / bracket[:n, :n]
-    masses *= da[None, :]
-    masses /= bracket[1:, 1:]
-    masses *= _em(t)
-    np.log1p(masses, out=masses)
-    masses /= t
+    masses = np.empty((n, n))
+    top = masses[:h]
+    np.divide(da[:h, None], bracket[:h, :n], out=top)
+    top *= da[None, :]
+    top /= bracket[1:, 1:]
+    top *= _em(t)
+    np.log1p(top, out=top)
+    top /= t
+    masses[h:] = masses[: n - h][::-1, ::-1]
+    if n % 2:
+        masses[h - 1, h:] = masses[h - 1, : n - h][::-1]
     if p.theta < 0.0:
         masses = masses[:, ::-1]
     return CheckerboardDensity(n, masses)

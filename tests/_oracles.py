@@ -32,6 +32,16 @@ def brute_tau(m: np.ndarray) -> float:
     return float(np.sum(m * brute_potential(m)))
 
 
+def two_cumsum_potential(m: np.ndarray) -> np.ndarray:
+    """The potential as one whole-matrix cumsum per axis: each signed sum
+    is 2 C - x - T, C the inclusive cumsum along the axis, T its total."""
+    S = m
+    for axis in (0, 1):
+        C = S.cumsum(axis=axis)
+        S = 2.0 * C - S - C.take([-1], axis=axis)
+    return S
+
+
 def gauss_legendre_2d(f, order=64) -> float:
     """Tensor-product Gauss-Legendre integral of f over the unit square."""
     x, w = np.polynomial.legendre.leggauss(order)
@@ -329,3 +339,31 @@ def reference_report_json(report, cfg) -> str:
     )
     obj["config"] = asdict(cfg)
     return json.dumps(obj)
+
+
+def spearman_mi_board(n, target_tau, tol=1e-10):
+    """The minimum-information checkerboard copula under a fixed Spearman's
+    rho, with rho set so that the board's Kendall's tau is target_tau.
+
+    On the grid rho = 12 sum_ij p_ij u_i v_j - 3 (u_i, v_j the cell
+    midpoints) is linear in the masses, so the entropy minimiser at
+    multiplier lam is the Sinkhorn projection of exp(lam u v^T), with no
+    fixed point; lam is bisected until tau is within tol of the target.
+    Its continuum limit a(u) b(v) exp(lam u v) is not Frank (Meeuwissen &
+    Bedford, J. Stat. Comput. Simul. 57, 1997): a negative control for
+    the claim that the MICK tends to the Frank copula.
+    """
+    mid = (np.arange(n) + 0.5) / n
+    uv = np.outer(mid, mid)
+    lo, hi = -20.0, 20.0
+    for _ in range(100):
+        lam = 0.5 * (lo + hi)
+        p = sinkhorn_sweeps(np.exp(lam * uv))
+        miss = float(np.sum(p * two_cumsum_potential(p))) - target_tau
+        if abs(miss) <= tol:
+            return p
+        if miss < 0.0:
+            lo = lam
+        else:
+            hi = lam
+    raise RuntimeError(f"bisection did not reach tau within {tol}")

@@ -103,12 +103,15 @@ class TestCheckerboardAgainstMpmath:
 
     @pytest.mark.parametrize("theta", [50.0, -50.0, 115.6, 300.0, -300.0])
     def test_whole_board_n16(self, theta):
-        n = 16
-        cells = [(i, j) for i in range(n) for j in range(n)]
-        ref = np.array(frank_cells_mp(theta, n, cells, self._dps(theta))).reshape(n, n)
-        got = frank_checkerboard(FrankParameter(theta), n).masses
-        assert np.all(ref > 0.0)
-        assert np.max(np.abs(got - ref) / ref) <= 1e-13
+        # n = 15 as well: an odd grid's middle row is half evaluated and
+        # half mirrored
+        for n in (15, 16):
+            cells = [(i, j) for i in range(n) for j in range(n)]
+            ref = np.array(frank_cells_mp(theta, n, cells, self._dps(theta)))
+            ref = ref.reshape(n, n)
+            got = frank_checkerboard(FrankParameter(theta), n).masses
+            assert np.all(ref > 0.0)
+            assert np.max(np.abs(got - ref) / ref) <= 1e-13
 
     @pytest.mark.parametrize("theta", [50.0, -50.0, 115.6, 300.0])
     def test_sampled_cells_n256(self, theta):

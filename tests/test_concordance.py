@@ -13,9 +13,16 @@ from frankmick import (
     liouville_residual,
     uniform_checkerboard,
 )
+from frankmick.concordance import _potential_from_masses
 from frankmick.errors import NonPositiveDensity
 
-from _oracles import brute_potential, brute_tau, random_checkerboard, sample_checkerboard
+from _oracles import (
+    brute_potential,
+    brute_tau,
+    random_checkerboard,
+    sample_checkerboard,
+    two_cumsum_potential,
+)
 
 
 def diag_half() -> CheckerboardDensity:
@@ -29,6 +36,14 @@ class TestConcordancePotential:
         m = random_checkerboard(rng, n)
         S = concordance_potential(CheckerboardDensity(n, m))
         assert np.max(np.abs(S - brute_potential(m))) <= 1e-12
+
+    # both sides of the switch to row adds at n = 256, and one matrix with
+    # the reversed columns of a negative-theta board
+    @pytest.mark.parametrize("n", [1, 2, 181, 182, 255, 256, 333, 1024])
+    def test_bit_identical_to_whole_matrix_cumsums(self, n):
+        m = np.random.default_rng(n).random((n, n))
+        for x in (m, m[:, ::-1]):
+            assert np.array_equal(_potential_from_masses(x), two_cumsum_potential(x))
 
     def test_values_bounded(self):
         rng = np.random.default_rng(3)
@@ -97,6 +112,14 @@ class TestKendallTau:
         # cross-diagonal pairs, each worth +0.25
         assert kendall_tau_checkerboard(diag_half()) == pytest.approx(0.5, abs=1e-15)
         assert brute_tau(diag_half().masses) == pytest.approx(0.5, abs=1e-15)
+
+    @pytest.mark.parametrize("theta", [3.0, -30.0])
+    @pytest.mark.parametrize("n", [7, 256, 1024])
+    def test_bit_identical_to_sum_of_products(self, n, theta):
+        board = frank_checkerboard(FrankParameter(theta), n)
+        m = board.masses
+        expected = float(np.sum(m * two_cumsum_potential(m)))
+        assert kendall_tau_checkerboard(board) == expected
 
     def test_frank_board_approaches_debye_tau(self):
         board = frank_checkerboard(FrankParameter(3.0), 64)

@@ -334,6 +334,18 @@ class TestCheckerboard:
         assert np.max(np.abs(board.masses.sum(axis=1) - 1 / 16)) <= 1e-12
         assert board.masses.min() > 0.0
 
+    @pytest.mark.parametrize(
+        "theta", [1e-6, -1e-6, 3.0, -3.0, 50.0, -50.0, 300.0, -300.0]
+    )
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 255, 256])
+    def test_radially_symmetric(self, n, theta):
+        # C(u, v) = u + v - 1 + C(1 - u, 1 - v): cell (i, j) holds the mass
+        # of cell (n-1-i, n-1-j), and the board keeps that exactly
+        m = frank_checkerboard(FrankParameter(theta), n).masses
+        assert np.array_equal(m, m[::-1, ::-1])
+        # exchangeable as well, but only to round-off (7.5e-14 measured)
+        assert np.max(np.abs(m - m.T) / m) <= 2e-13
+
     def test_matches_cdf_second_differences(self):
         p = FrankParameter(3.0)
         board = frank_checkerboard(p, 4)
