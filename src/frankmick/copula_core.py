@@ -6,8 +6,9 @@ All evaluators are written in expm1/log1p style.  The cdf, density,
 generator and sampler accept |theta| up to ``THETA_SUPPORT`` (= 50) and
 ``frank_checkerboard`` up to ``CHECKERBOARD_SUPPORT`` (= 300); larger
 parameters raise ThetaOutOfSupport.  The tau-theta bridge needs no bound
-of its own (its inversion searches |theta| <= 600).  The key trick is the
-denominator rearrangement
+of its own (its inversion climbs from 9|tau| by Newton steps that tau's
+concavity keeps below the root, up to |theta| = 600).  The key trick is
+the denominator rearrangement
 
     1 - e^{-t} - (1 - e^{-tu})(1 - e^{-tv})
         = e^{-tu}(1 - e^{-tv}) + e^{-tv}(1 - e^{-t(1-v)})
@@ -27,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NonInvertible, ThetaOutOfSupport, ZeroTau
+from .errors import NonInvertible, ThetaOutOfSupport, ZeroTau, _require_fields
 
 #: largest |theta| the cdf, density, generator and sampler accept.
 THETA_SUPPORT = 50.0
@@ -113,6 +114,7 @@ class CheckerboardDensity:
 
     @classmethod
     def _from_record(cls, obj: dict) -> "CheckerboardDensity":
+        _require_fields(obj, ("n", "masses"), "board record")
         n = int(obj["n"])
         return cls(n, np.array(obj["masses"], dtype=float).reshape(n, n))
 
@@ -323,21 +325,20 @@ def tau_from_theta(p: FrankParameter) -> float:
     return math.copysign(_tau(abs(t)), t)
 
 
-#: widest |theta| the tau inversion will search; tau(600) ~ 0.9934.
+#: widest |theta| the tau inversion returns; tau(600) ~ 0.9934.
 _THETA_SEARCH_CAP = 600.0
 _TAU_AT_CAP = _tau(_THETA_SEARCH_CAP)
 
 
 def theta_from_tau(tau: float, tol: float = 1e-10) -> FrankParameter:
-    """Invert the tau-theta relation by safeguarded Newton on |tau|.
+    """Invert the tau-theta relation by Newton's method on |tau| from below.
 
-    Newton steps use the analytic slope from 9|tau| (a lower bound of the
-    root, as tau(theta) <= theta/9); a step that leaves the bracket
-    [9|tau|, 600] shrunk by the evaluations so far is replaced by its
-    midpoint.  Guarantees |tau_from_theta(result) - tau| <= tol.  Raises
+    tau is increasing and concave on theta > 0 with tau(theta) <= theta/9,
+    so Newton steps from 9|tau| climb to the root without overshooting.
+    They stop at |tau_from_theta(result) - tau| <= tol or once a step no
+    longer climbs, keeping one more step if it lands closer.  Raises
     ZeroTau for tau = 0 (independence has no Frank parameter) and
-    NonInvertible when |tau| >= 1 or tau is beyond the searchable theta
-    range.
+    NonInvertible when |tau| >= 1 or |tau| > tau(600).
     """
     if not math.isfinite(tau) or abs(tau) >= 1.0:
         raise NonInvertible(f"tau must lie in (-1, 1), got {tau}")
@@ -351,27 +352,15 @@ def theta_from_tau(tau: float, tol: float = 1e-10) -> FrankParameter:
             f"tau = {tau} needs |theta| beyond {_THETA_SEARCH_CAP}"
         )
 
-    lo, hi = 9.0 * target, _THETA_SEARCH_CAP
-    t = lo
-    g = _tau(t) - target
-    best = (abs(g), t)
+    step = 9.0 * target
     for _ in range(200):
+        t, g = step, _tau(step) - target
         step = t - g / _tau_slope(t)
-        if abs(g) <= tol:
-            # one Newton step past the tolerance, kept if it lands closer
-            if step != t:
-                best = min(best, (abs(_tau(step) - target), step))
+        if abs(g) <= tol or step <= t:
             break
-        if g < 0.0:
-            lo = t
-        else:
-            hi = t
-        t = step if lo < step < hi else 0.5 * (lo + hi)
-        if t in (lo, hi):
-            break  # the bracket is down to adjacent floats
-        g = _tau(t) - target
-        best = min(best, (abs(g), t))
-    return FrankParameter(math.copysign(best[1], tau))
+    if step != t:
+        t = min((abs(g), t), (abs(_tau(step) - target), step))[1]
+    return FrankParameter(math.copysign(t, tau))
 
 
 # -- checkerboard discretization --------------------------------------------

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and a check of JSON records."""
 
 
 class FrankMickError(Exception):
@@ -63,3 +63,10 @@ class NoConvergence(FrankMickError):
     def __init__(self, msg, report=None):
         super().__init__(msg)
         self.report = report
+
+
+def _require_fields(obj, names, what):
+    """Raise ValueError naming the first of names the JSON object obj lacks."""
+    for name in names:
+        if not isinstance(obj, dict) or name not in obj:
+            raise ValueError(f"{what} has no field {name!r}")

@@ -43,6 +43,7 @@ from .errors import (
     NoConvergence,
     NotConverged,
     TauInfeasible,
+    _require_fields,
 )
 
 _SINKHORN_CAP = 50_000
@@ -102,7 +103,7 @@ class SolverReport:
     implied_theta: float
 
     def to_json(self, cfg: SolverConfig | None = None) -> str:
-        obj = {f: getattr(self, f) for f in _scalar_fields()}
+        obj = {f: getattr(self, f) for f in _SCALAR_FIELDS}
         obj["multiplier"] = self.state.multiplier
         obj["row_potentials"] = self.state.row_potentials.tolist()
         obj["col_potentials"] = self.state.col_potentials.tolist()
@@ -114,18 +115,19 @@ class SolverReport:
     @classmethod
     def from_json(cls, text: str) -> "SolverReport":
         obj = json.loads(text)
+        state_keys = ("density", "multiplier", "row_potentials", "col_potentials")
+        _require_fields(obj, state_keys + _SCALAR_FIELDS, "report")
         state = SolverState(
             density=CheckerboardDensity._from_record(obj["density"]),
             multiplier=obj["multiplier"],
             row_potentials=np.array(obj["row_potentials"]),
             col_potentials=np.array(obj["col_potentials"]),
         )
-        return cls(state, **{f: obj[f] for f in _scalar_fields()})
+        return cls(state, **{f: obj[f] for f in _SCALAR_FIELDS})
 
 
-def _scalar_fields():
-    """SolverReport fields stored at the top level of its JSON form."""
-    return [f.name for f in fields(SolverReport) if f.name != "state"]
+#: SolverReport fields stored at the top level of its JSON form.
+_SCALAR_FIELDS = tuple(f.name for f in fields(SolverReport) if f.name != "state")
 
 
 def sinkhorn_project(kernel) -> CheckerboardDensity:
@@ -147,7 +149,7 @@ def sinkhorn_project(kernel) -> CheckerboardDensity:
     return CheckerboardDensity(K.shape[0], _sinkhorn(K, MARGINAL_TOL))
 
 
-def _sinkhorn(K, tol, newton=True):
+def _sinkhorn(K, tol):
     """Masses D_r K D_c whose row and column sums are within tol of 1/n.
 
     Each sweep sets r, then c, so the columns are exact and the row
@@ -166,8 +168,8 @@ def _sinkhorn(K, tol, newton=True):
     (_newton_direction) costs about 4, 6, 12, 30 and 70 sweeps at n = 16,
     32, 64, 128 and 256, and a finish from a warm start takes about two
     steps.  If its line search stalls first, the sweeps resume from its
-    last scalings and never switch again; newton=False never switches.
-    Raises NotConverged after _SINKHORN_CAP sweeps.
+    last scalings and never switch again.  Raises NotConverged after
+    _SINKHORN_CAP sweeps.
     """
     n = K.shape[0]
     target = 1.0 / n
@@ -175,6 +177,7 @@ def _sinkhorn(K, tol, newton=True):
     Kc = K @ c
     budget = max(12.0, 0.5 * n)
     prev_resid = math.inf
+    newton = True  # until the one switch to the Newton finish
     for _ in range(_SINKHORN_CAP):
         r = target / Kc
         c = target / (K.T @ r)

@@ -205,6 +205,27 @@ class TestErrorHandling:
         assert "argument --grids" in err
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("drop", [None, "density"])
+    def test_malformed_report_is_one_json_line(self, capsys, tmp_path, drop):
+        # {} when drop is None, else a solved report without that field
+        obj = {}
+        if drop is not None:
+            path = tmp_path / "report.json"
+            run(capsys, "mick", "solve", "--tau", "0.307", "--n", "4",
+                "--out", str(path))
+            obj = json.loads(path.read_text())
+            del obj[drop]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        code, out, err = run(
+            capsys, "mick", "compare", "--report", str(bad), "--theta", "3"
+        )
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        diag = json.loads(line)
+        assert diag["error"] == "ValueError"
+        assert "density" in diag["message"]
+
     def test_solve_has_no_damping_option(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "mick", "solve", "--tau", "0.307", "--n", "8",

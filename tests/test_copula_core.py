@@ -21,6 +21,7 @@ from frankmick import (
     theta_from_tau,
     uniform_checkerboard,
 )
+from frankmick.copula_core import _tau, _tau_slope
 from frankmick.errors import FrankMickError, NonInvertible, ThetaOutOfSupport, ZeroTau
 
 from _oracles import frank_tau_mp, frank_theta_mp, gauss_legendre_2d
@@ -247,6 +248,11 @@ class TestDebye:
         assert debye_d1(-2.0) == pytest.approx(debye_d1(2.0) + 1.0, abs=1e-10)
         assert debye_d1(-2.0) == pytest.approx(D1_AT_M2, abs=1e-10)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_nonfinite(self, bad):
+        with pytest.raises(ValueError):
+            debye_d1(bad)
+
 
 class TestTauTheta:
     def test_tau_at_three(self):
@@ -294,6 +300,28 @@ class TestTauTheta:
         with pytest.raises(ValueError):
             theta_from_tau(0.3, tol=0.0)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_search_cap(self, sign):
+        # tau(600) = 0.99335161...: just below it inverts, just above it
+        # raises at once
+        p = theta_from_tau(sign * 0.99335, tol=1e-12)
+        assert sign * p.theta == pytest.approx(599.854, abs=1e-3)
+        assert abs(tau_from_theta(p) - sign * 0.99335) <= 1e-12
+        with pytest.raises(NonInvertible):
+            theta_from_tau(sign * 0.9934)
+
+    def test_newton_from_below_premise(self):
+        # theta_from_tau climbs by Newton steps from 9|tau| and never checks
+        # for an overshoot: that needs tau concave (its slope nonincreasing)
+        # and tau(theta) <= theta/9 on theta > 0, the series below theta = 2
+        # and the dilogarithm above it included
+        thetas = np.unique(np.concatenate((
+            np.geomspace(1e-9, 600.0, 100_000),
+            np.linspace(1.99, 2.01, 20_001),
+        )))
+        slopes = np.array([_tau_slope(t) for t in thetas])
+        assert np.all(np.diff(slopes) <= 0.0)
+        assert all(_tau(t) <= t / 9.0 for t in thetas)
 
 
 class TestTauThetaSmall:
@@ -326,6 +354,10 @@ class TestCheckerboard:
     def test_total_mass(self):
         board = frank_checkerboard(FrankParameter(3.0), 8)
         assert board.masses.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_rejects_empty_grid(self):
+        with pytest.raises(ValueError):
+            frank_checkerboard(FrankParameter(3.0), 0)
 
     @pytest.mark.parametrize("theta", THETAS)
     def test_marginals_and_positivity(self, theta):
@@ -403,6 +435,20 @@ class TestCheckerboardDensityType:
         with pytest.raises(ValueError):
             CheckerboardDensity(3, np.full((2, 2), 0.25))
 
+    def test_rejects_nan_mass(self):
+        m = np.full((2, 2), 0.25)
+        m[0, 1] = np.nan
+        with pytest.raises(ValueError):
+            CheckerboardDensity(2, m)
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [("{}", "n"), ('{"n": 2}', "masses"), ('{"masses": [1.0]}', "n")],
+    )
+    def test_json_missing_field_is_value_error(self, text, field):
+        with pytest.raises(ValueError, match=f"no field '{field}'"):
+            CheckerboardDensity.from_json(text)
+
     def test_json_round_trip_lossless(self):
         board = frank_checkerboard(FrankParameter(3.0), 8)
         again = CheckerboardDensity.from_json(board.to_json(tau=0.307, theta=3.0))
@@ -429,3 +475,7 @@ class TestGridFunction:
         v[1, 1] = np.inf
         with pytest.raises(ValueError):
             GridFunction(2, v)
+
+    def test_rejects_bad_shape(self):
+        with pytest.raises(ValueError):
+            GridFunction(2, np.zeros((2, 2)))

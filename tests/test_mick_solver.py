@@ -87,8 +87,17 @@ class TestSinkhornProject:
         with pytest.raises(ValueError):
             sinkhorn_project(np.array([[1.0, -1.0], [1.0, 1.0]]))
 
+    def test_rejects_non_square_kernel(self):
+        with pytest.raises(ValueError, match="square"):
+            sinkhorn_project(np.ones((2, 3)))
+
 
 class TestInnerFixedPoint:
+    def test_start_with_zero_cell_is_divergence(self):
+        start = CheckerboardDensity(2, np.array([[0.5, 0.0], [0.0, 0.5]]))
+        with pytest.raises(DivergenceDetected):
+            inner_fixed_point(start, 0.5, SolverConfig(n=2, target_tau=0.3))
+
     def test_zero_multiplier_gives_uniform(self):
         cfg = SolverConfig(n=6, target_tau=0.3)
         state = inner_fixed_point(uniform_checkerboard(6), 0.0, cfg).state
@@ -557,6 +566,18 @@ class TestSolverReportSerialization:
         ]
         assert list(obj["config"]) == [f.name for f in fields(SolverConfig)]
 
+    @pytest.mark.parametrize("drop", ["density", "multiplier", "converged"])
+    def test_missing_field_is_value_error(self, drop):
+        obj = json.loads(solve_mick(SolverConfig(n=4, target_tau=0.25)).to_json())
+        del obj[drop]
+        with pytest.raises(ValueError, match=f"no field '{drop}'"):
+            SolverReport.from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("text", ["{}", "[]", '{"density": []}'])
+    def test_malformed_report_is_value_error(self, text):
+        with pytest.raises(ValueError):
+            SolverReport.from_json(text)
+
 
 #: the sweep_mid grids, two high-tau solves, tau = 0, and a search that
 #: raises NoConvergence (its report is the one serialized)
@@ -679,7 +700,10 @@ class TestNewtonFinish:
         return calls
 
     def sweeps_only(self, K):
-        return mick_solver._sinkhorn(K, MARGINAL_TOL, newton=False)
+        # a Newton finish that stalls at once leaves the sweeps alone
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(mick_solver, "_newton_finish", lambda K, r, c, tol: (None, c))
+            return mick_solver._sinkhorn(K, MARGINAL_TOL)
 
     @pytest.mark.parametrize("name", sorted(SLOW_KERNELS))
     def test_slow_kernel_switches_once(self, monkeypatch, name):
