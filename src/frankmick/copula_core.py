@@ -115,8 +115,13 @@ class CheckerboardDensity:
     @classmethod
     def _from_record(cls, obj: dict) -> "CheckerboardDensity":
         _require_fields(obj, ("n", "masses"), "board record")
-        n = int(obj["n"])
-        return cls(n, np.array(obj["masses"], dtype=float).reshape(n, n))
+        n = obj["n"]
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"board record field 'n' is not an integer: {n!r}")
+        try:
+            return cls(n, np.array(obj["masses"], dtype=float).reshape(n, n))
+        except TypeError:
+            raise ValueError("board record field 'masses' is not numbers") from None
 
     def to_json(self, tau=None, theta=None) -> str:
         return json.dumps(self._record(tau, theta))

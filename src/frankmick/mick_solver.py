@@ -134,12 +134,10 @@ def sinkhorn_project(kernel) -> CheckerboardDensity:
     """Scale a positive kernel to uniform 1/n marginals.
 
     Returns D_r . kernel . D_c; cross-ratios of the kernel are preserved
-    exactly.  The masses are those of _sinkhorn at tolerance MARGINAL_TOL,
-    which describes the sweeps and the Newton finish; inner_fixed_point
-    calls _sinkhorn itself, at a tighter tolerance and without building a
-    CheckerboardDensity per step.  Raises ValueError for a kernel that is
-    not square, finite and positive, and NotConverged for badly scaled
-    kernels.
+    exactly.  The masses are those of _sinkhorn at tolerance MARGINAL_TOL;
+    the solver calls _sinkhorn itself, at each evaluation's tol_p.  Raises
+    ValueError for a kernel that is not square, finite and positive, and
+    NotConverged for badly scaled kernels.
     """
     K = np.asarray(kernel, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
@@ -287,6 +285,13 @@ def _anderson_step(G, F, dG, dF):
     return G - (gamma @ dG).reshape(G.shape)
 
 
+def _projection_tol(lambda_d: float, cfg: SolverConfig) -> float:
+    """tol_p of an inner solve at lambda_d: a marginal error delta moves its
+    residual by about 2 |lambda_d| delta, kept within 0.01 tol_in."""
+    tol_in = min(cfg.tol_fix, cfg.tol_tau)
+    return max(1e-14, min(MARGINAL_TOL, 0.01 * tol_in / max(1.0, 2.0 * abs(lambda_d))))
+
+
 def inner_fixed_point(
     start: CheckerboardDensity,
     lambda_d: float,
@@ -296,33 +301,30 @@ def inner_fixed_point(
     """Damped iteration p <- Sinkhorn(exp(2 lambda_d S(p))), Anderson-accelerated.
 
     The iterate is a log-kernel L; Sinkhorn ignores its row and column
-    terms, so only center(L) matters.  One step projects q =
-    Sinkhorn(exp(L + beta)) and forms the stationarity residual R =
-    center(log q - 2 lambda_d S(q)).  As log q is L plus row and column
-    terms, the damped map center((1 - d) log q + d * 2 lambda_d S(q)) is
-    center(L) - d R, so the step takes G(L) = L + F with F = -d R, and the
-    next L is G(L) minus the least-squares combination of the last
-    _ANDERSON_MEMORY differences of G and of F (type-II Anderson, Walker &
-    Ni 2011).  The first L is the damped log-kernel (1 - d) log p + d *
-    2 lambda_d S(p) of the start's masses p.  beta = log q[0, :] - L[0, :]
-    is the column scaling that took L to q; adding it to the next L
-    warm-starts the projection.  Stops at the first q with max|R| within
-    tol_in = min(cfg.tol_fix, cfg.tol_tau), or after cfg.max_inner
-    iterations.  With off_target_exit it also stops at the first q whose
-    tau misses the target, miss = |sum q S(q) - cfg.target_tau| >
-    cfg.tol_tau, while max|R| <= _FORCING * miss: the outer search cannot
-    accept that tau and needs only its side of the target and its first
-    digits (the forcing term of inexact Newton methods, Dembo, Eisenstat &
-    Steihaug 1982).  Each q is projected by _sinkhorn to tol_p = max(1e-14,
-    min(MARGINAL_TOL, 0.01 tol_in / max(1, 2|lambda_d|))): a marginal error
-    delta moves the residual by about 2 |lambda_d| delta, so the projection
-    stays below the residual's tolerance.
+    terms, so only center(L) matters.  Iterate zero is the start's masses p
+    with L = log p; iterate k > 0 is p = Sinkhorn(exp(L + beta)) to tol_p =
+    _projection_tol(lambda_d, cfg), warm-started by beta = log p[0, :] -
+    L[0, :] of the last iterate.  Each iterate is evaluated once: S(p), tau
+    = sum p S(p) and the residual R = center(log p - 2 lambda_d S(p)).  As
+    log p is L plus row and column terms, the damped map center((1 - d)
+    log p + d * 2 lambda_d S(p)) is center(L) - d R, so the step takes G(L)
+    = L + F with F = -d R, and the next L is G(L) minus the least-squares
+    combination of the last _ANDERSON_MEMORY differences of G and of F
+    (type-II Anderson, Walker & Ni 2011), iterate zero's pair included.
+    Stops at the first iterate with max|R| within tol_in = min(cfg.tol_fix,
+    cfg.tol_tau), or after cfg.max_inner projections, so a start already
+    within tol_in comes back unprojected (solve_mick's starts are exact
+    boards or projected to tol_p).  With off_target_exit it also stops at
+    the first iterate whose tau misses the target, miss = |tau -
+    cfg.target_tau| > cfg.tol_tau, while max|R| <= _FORCING * miss: the
+    outer search cannot accept that tau and needs only its side of the
+    target and its first digits (the forcing term of inexact Newton
+    methods, Dembo, Eisenstat & Steihaug 1982).
 
-    Returns the SolverReport of this one evaluation: the last q, validated
-    once as its state's density, with the row and column potentials of
-    its masses (the row and column means of log q - 2 lambda_d S(q), less
-    the grand mean); tau = sum q S(q); max|R|; one outer iteration and
-    this evaluation's step count; converged judged against cfg, so an
+    Returns the SolverReport of the last iterate: its masses, validated
+    once, with the row and column means of log p - 2 lambda_d S(p), less
+    the grand mean, as potentials; its tau and max|R|; one outer iteration
+    and the projection count; converged judged against cfg, so an
     evaluation that took the off-target exit is never converged.
     """
     p = start.masses
@@ -330,36 +332,31 @@ def inner_fixed_point(
         raise DivergenceDetected("initial density must be strictly positive")
     d = cfg.damping
     tol_in = min(cfg.tol_fix, cfg.tol_tau)
-    tol_p = 0.01 * tol_in / max(1.0, 2.0 * abs(lambda_d))
-    tol_p = max(1e-14, min(MARGINAL_TOL, tol_p))
-    log_p = np.log(p)
-    T = 2.0 * lambda_d * _potential_from_masses(p)  # 2 lambda_d S(p)
-    L = (1.0 - d) * log_p + d * T
+    tol_p = _projection_tol(lambda_d, cfg)
+    L = log_p = np.log(p)  # iterate zero
     beta = np.zeros(p.shape[0])
     dG = dF = np.empty((0, p.size))  # the last differences of G and of F, as rows
     G_prev = F_prev = None
-    for iterations in range(1, cfg.max_inner + 1):
-        warm = L + beta
-        kernel = np.exp(warm - warm.max())
-        if not kernel.min() > 0.0:
-            raise DivergenceDetected(
-                f"kernel underflowed at multiplier {lambda_d}"
-            )
-        q = _sinkhorn(kernel, tol_p)
-        if q.min() <= 0.0:
-            raise DivergenceDetected("cell mass underflowed to zero")
-        p, log_p = q, np.log(q)
-        beta = log_p[0] - L[0]
+    for iterations in range(cfg.max_inner + 1):
+        if iterations:
+            warm = L + beta
+            kernel = np.exp(warm - warm.max())
+            if not kernel.min() > 0.0:
+                raise DivergenceDetected(f"kernel underflowed at multiplier {lambda_d}")
+            p = _sinkhorn(kernel, tol_p)
+            if p.min() <= 0.0:
+                raise DivergenceDetected("cell mass underflowed to zero")
+            log_p = np.log(p)
+            beta = log_p[0] - L[0]
         S = _potential_from_masses(p)
-        T = 2.0 * lambda_d * S
-        R = _center(log_p - T)
+        M = log_p - 2.0 * lambda_d * S
+        R = _center(M)
         resid = float(np.abs(R).max())
-        if resid <= tol_in:
+        tau = float(np.sum(p * S))
+        miss = abs(tau - cfg.target_tau)
+        off_target = off_target_exit and miss > cfg.tol_tau
+        if resid <= tol_in or off_target and resid <= _FORCING * miss:
             break
-        if off_target_exit:
-            miss = abs(float(np.sum(p * S)) - cfg.target_tau)
-            if miss > cfg.tol_tau and resid <= _FORCING * miss:
-                break
         F = -d * R
         G = L + F
         if G_prev is not None:
@@ -367,8 +364,6 @@ def inner_fixed_point(
             dF = np.vstack((dF, (F - F_prev).ravel()))[-_ANDERSON_MEMORY:]
         G_prev, F_prev = G, F
         L = _anderson_step(G, F, dG, dF)
-    M = log_p - T
-    tau = float(np.sum(p * S))
     state = SolverState(
         density=CheckerboardDensity(p.shape[0], p),
         multiplier=lambda_d,
@@ -381,7 +376,7 @@ def inner_fixed_point(
         stationarity_residual=resid,
         outer_iterations=1,
         inner_iterations_total=iterations,
-        converged=abs(tau - cfg.target_tau) <= cfg.tol_tau and resid <= cfg.tol_fix,
+        converged=miss <= cfg.tol_tau and resid <= cfg.tol_fix,
         implied_theta=4.0 * lambda_d,
     )
 
@@ -405,8 +400,8 @@ def _frank_board(lam: float, n: int) -> CheckerboardDensity | None:
     return frank_checkerboard(FrankParameter(theta), n)
 
 
-def _transport(p: CheckerboardDensity, old, new) -> CheckerboardDensity:
-    """Sinkhorn(p * new / old): p carried from the multiplier of the
+def _transport(p: CheckerboardDensity, old, new, tol=MARGINAL_TOL):
+    """Sinkhorn(p * new / old) to tol: p carried from the multiplier of the
     _frank_board old to that of new (see solve_mick).  Returns p itself
     when either board is None or a kernel cell underflows to 0 (within
     CHECKERBOARD_SUPPORT the boards' ratio stays finite)."""
@@ -415,7 +410,7 @@ def _transport(p: CheckerboardDensity, old, new) -> CheckerboardDensity:
     kernel = p.masses * (new.masses / old.masses)
     if not kernel.min() > 0.0:
         return p
-    return CheckerboardDensity(p.n, _sinkhorn(kernel, MARGINAL_TOL))
+    return CheckerboardDensity(p.n, _sinkhorn(kernel, tol))
 
 
 def _with_totals(report: SolverReport, reports) -> SolverReport:
@@ -459,16 +454,15 @@ def solve_mick(cfg: SolverConfig) -> SolverReport:
     checkerboard F(4 lambda_0) -- the paper's answer, within O(n^-2) of the
     discrete one -- when |4 lambda_0| <= CHECKERBOARD_SUPPORT, and
     otherwise, as with an explicit multiplier_init, from the uniform board.
-    On fine grids the first evaluation is often accepted, and its implied
-    theta is then the seed itself, right to within tol_tau / tau'.
-    Each later evaluation, at lambda', starts from the previous one's
-    masses p at lambda transported along the Frank boards:
-    Sinkhorn(p F(4 lambda') / F(4 lambda)), F(theta) the Frank checkerboard
-    and F(0) the uniform board (_transport).  As p - F(4 lambda) is
-    O(n^-2), this start misses the solution at lambda' by O(dlambda n^-2 +
-    dlambda^2), not O(dlambda): from lambda_0 = theta(tau) / 4, the second
-    evaluation at (256, 0.307) took 1 inner step instead of 8.  When
-    either |4 lambda| exceeds CHECKERBOARD_SUPPORT, or the kernel
+    On fine grids that board often meets tol_in itself and is accepted
+    unprojected; its implied theta is then the seed, right to within
+    tol_tau / tau'.  Each later evaluation, at lambda', starts from the
+    previous one's masses p at lambda transported along the Frank boards:
+    Sinkhorn(p F(4 lambda') / F(4 lambda)) to the next evaluation's tol_p,
+    F(theta) the Frank checkerboard and F(0) the uniform board
+    (_transport).  As p - F(4 lambda) is O(n^-2), this start misses the
+    solution at lambda' by O(dlambda n^-2 + dlambda^2), not O(dlambda).
+    When either |4 lambda| exceeds CHECKERBOARD_SUPPORT, or the kernel
     underflows, it starts from p.  Each evaluation builds one Frank board
     and keeps it for the next.
     """
@@ -532,5 +526,6 @@ def solve_mick(cfg: SolverConfig) -> SolverReport:
         if None not in (lo, hi) and not min(lo, hi) < lam < max(lo, hi):
             lam = 0.5 * (lo + hi)
         new_board = _frank_board(lam, cfg.n)
-        start = _transport(report.state.density, board, new_board)
+        tol_p = _projection_tol(lam, cfg)  # that of the next evaluation
+        start = _transport(report.state.density, board, new_board, tol_p)
         board = new_board

@@ -226,6 +226,24 @@ class TestErrorHandling:
         assert diag["error"] == "ValueError"
         assert "density" in diag["message"]
 
+    @pytest.mark.parametrize("field, value", [("n", None), ("masses", {"a": 1})])
+    def test_mistyped_board_field_is_one_json_line(
+        self, capsys, tmp_path, field, value
+    ):
+        path = tmp_path / "report.json"
+        run(capsys, "mick", "solve", "--tau", "0.307", "--n", "4", "--out", str(path))
+        obj = json.loads(path.read_text())
+        obj["density"][field] = value
+        path.write_text(json.dumps(obj))
+        code, out, err = run(
+            capsys, "mick", "compare", "--report", str(path), "--theta", "3"
+        )
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        diag = json.loads(line)
+        assert diag["error"] == "ValueError"
+        assert f"field '{field}'" in diag["message"]
+
     def test_solve_has_no_damping_option(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "mick", "solve", "--tau", "0.307", "--n", "8",

@@ -449,6 +449,19 @@ class TestCheckerboardDensityType:
         with pytest.raises(ValueError, match=f"no field '{field}'"):
             CheckerboardDensity.from_json(text)
 
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"n": null, "masses": [1.0]}', "n"),
+            ('{"n": 1.0, "masses": [1.0]}', "n"),
+            ('{"n": true, "masses": [1.0]}', "n"),
+            ('{"n": 1, "masses": {"a": 1.0}}', "masses"),
+        ],
+    )
+    def test_json_mistyped_field_is_value_error(self, text, field):
+        with pytest.raises(ValueError, match=f"field '{field}'"):
+            CheckerboardDensity.from_json(text)
+
     def test_json_round_trip_lossless(self):
         board = frank_checkerboard(FrankParameter(3.0), 8)
         again = CheckerboardDensity.from_json(board.to_json(tau=0.307, theta=3.0))

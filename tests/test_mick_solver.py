@@ -129,7 +129,7 @@ class TestInnerFixedPoint:
     def test_iteration_count_from_uniform_at_zero_multiplier(self):
         cfg = SolverConfig(n=6, target_tau=0.3)
         report = inner_fixed_point(uniform_checkerboard(6), 0.0, cfg)
-        assert report.inner_iterations_total == 1
+        assert report.inner_iterations_total == 0
 
     def test_iteration_count_when_capped(self):
         cfg = SolverConfig(n=8, target_tau=0.3, max_inner=3)
@@ -200,7 +200,7 @@ def bridge_evaluation(n, tau, tol_tau, off_target_exit=False):
 
 # (n, tau) -> steps of the exact first evaluation at tol_tau 1e-6 and 1e-10
 EXACT_BRIDGE_STEPS = {
-    (16, 0.9): (16, 17), (32, 0.95): (15, 17), (64, -0.6): (6, 7), (8, 0.307): (7, 7)
+    (16, 0.9): (16, 17), (32, 0.95): (16, 19), (64, -0.6): (6, 7), (8, 0.307): (6, 7)
 }
 
 
@@ -835,7 +835,7 @@ class TestInnerStepWork:
         report = inner_fixed_point(
             uniform_checkerboard(8), 1.0, SolverConfig(n=8, target_tau=0.3)
         )
-        assert len(calls) == report.inner_iterations_total
+        assert len(calls) == report.inner_iterations_total + 1
 
     def test_kernel_underflow_is_typed(self):
         with pytest.raises(DivergenceDetected):
@@ -1153,3 +1153,96 @@ def test_scan_converges_in_few_evaluations():
         assert report.stationarity_residual <= min(cfg.tol_fix, cfg.tol_tau)
         evaluations += report.outer_iterations
     assert evaluations <= 200
+
+
+class TestIterateZero:
+    """The start of each inner solve is its iterate zero: evaluated before
+    any projection, returned as it is when it already meets the exit test."""
+
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_fine_grid_returns_the_frank_start(self, n):
+        cfg = SolverConfig(n=n, target_tau=0.307)
+        report = solve_mick(cfg)
+        # solve_mick's first multiplier, the closed-form seed
+        theta = theta_from_tau(0.307).theta
+        lam = (theta + 2.0 * theta / (9.0 * mick_solver._tau_slope(theta) * n**2)) / 4.0
+        board = frank_checkerboard(FrankParameter(4.0 * lam), n)
+        assert report.converged and report.state.multiplier == lam
+        assert report.outer_iterations == 1 and report.inner_iterations_total == 0
+        assert np.array_equal(report.state.density.masses, board.masses)
+        assert report.stationarity_residual <= cfg.tol_fix
+
+    def test_uniform_board_at_zero_multiplier(self):
+        start = uniform_checkerboard(9)
+        report = inner_fixed_point(start, 0.0, SolverConfig(n=9, target_tau=0.3))
+        assert report.inner_iterations_total == 0
+        assert report.stationarity_residual == 0.0
+        assert np.array_equal(report.state.density.masses, start.masses)
+
+    def test_off_target_exit_at_the_start(self):
+        # the Frank board at theta(-0.6) misses the target by far more than
+        # its residual: the search needs no projection to learn its side
+        early = bridge_evaluation(64, -0.6, 1e-6, True)
+        lam = bridge_multiplier(-0.6)
+        board = frank_checkerboard(FrankParameter(4.0 * lam), 64)
+        assert early.inner_iterations_total == 0 and not early.converged
+        assert np.array_equal(early.state.density.masses, board.masses)
+        miss = abs(early.achieved_tau + 0.6)
+        assert miss > 1e-6
+        assert early.stationarity_residual <= mick_solver._FORCING * miss
+
+    @pytest.mark.parametrize(
+        "start, lam",
+        [("uniform", 1.0), ("uniform", 0.0), ("frank", 0.75)],
+    )
+    def test_report_carries_the_last_evaluation(self, start, lam):
+        # potentials and tau are those of the last residual evaluation,
+        # bit for bit, whether or not the solve projected
+        board = (
+            uniform_checkerboard(16) if start == "uniform"
+            else frank_checkerboard(FrankParameter(3.0), 16)
+        )
+        report = inner_fixed_point(board, lam, SolverConfig(n=16, target_tau=0.3))
+        p = report.state.density.masses
+        S = _potential_from_masses(p)
+        M = np.log(p) - 2.0 * lam * S
+        assert report.achieved_tau == float(np.sum(p * S))
+        assert np.array_equal(report.state.row_potentials, M.mean(axis=1) - M.mean())
+        assert np.array_equal(report.state.col_potentials, M.mean(axis=0) - M.mean())
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(n, 0.307) for n in (4, 8, 16, 32, 64, 128, 256)],  # sweep_mid
+            [(16, 0.9), (32, 0.95)],  # solve_high_tau
+        ],
+    )
+    def test_every_start_is_as_exact_as_a_projection(self, monkeypatch, points):
+        # a start that meets the exit test is returned unprojected, so its
+        # marginals must be within the tol_p its evaluation projects to
+        starts = []
+        original = mick_solver.inner_fixed_point
+
+        def recorded(start, lam, cfg, *args):
+            starts.append((start.masses, mick_solver._projection_tol(lam, cfg)))
+            return original(start, lam, cfg, *args)
+
+        monkeypatch.setattr(mick_solver, "inner_fixed_point", recorded)
+        for n, tau in points:
+            assert solve_mick(SolverConfig(n=n, target_tau=tau)).converged
+        assert len(starts) > len(points)
+        for masses, tol_p in starts:
+            n = masses.shape[0]
+            err = max(
+                np.abs(masses.sum(axis=1) - 1 / n).max(),
+                np.abs(masses.sum(axis=0) - 1 / n).max(),
+            )
+            assert err <= tol_p
+
+    def test_mid_sweep_work(self):
+        # [12, 10, 7, 6, 4, 3, 1] projections, 43 in all, when each solve
+        # projected its start before its first residual test
+        grids = (4, 8, 16, 32, 64, 128, 256)
+        reports = [solve_mick(SolverConfig(n=n, target_tau=0.307)) for n in grids]
+        assert [r.outer_iterations for r in reports] == [4, 3, 2, 2, 1, 1, 1]
+        assert [r.inner_iterations_total for r in reports] == [10, 8, 6, 5, 3, 2, 0]
