@@ -2,13 +2,13 @@
 and the Debye-function bridge between the dependence parameter theta and
 Kendall's tau.
 
-All evaluators are written in expm1/log1p style.  The cdf, density,
-generator and sampler accept |theta| up to ``THETA_SUPPORT`` (= 50) and
-``frank_checkerboard`` up to ``CHECKERBOARD_SUPPORT`` (= 300); larger
-parameters raise ThetaOutOfSupport.  The tau-theta bridge needs no bound
-of its own (its inversion climbs from 9|tau| by Newton steps that tau's
-concavity keeps below the root, up to |theta| = 600).  The key trick is
-the denominator rearrangement
+All evaluators are written in expm1/log1p style and accept |theta| up to
+``THETA_SUPPORT`` (= 300); larger parameters raise ThetaOutOfSupport.  The
+density and the checkerboard work at |theta|, by C_{-theta}(u, v) = u -
+C_theta(u, 1 - v).  The tau-theta bridge needs no bound of its own (its
+inversion climbs from 9|tau| by Newton steps that tau's concavity keeps
+below the root, up to |theta| = 600).  The key trick is the denominator
+rearrangement
 
     1 - e^{-t} - (1 - e^{-tu})(1 - e^{-tv})
         = e^{-tu}(1 - e^{-tv}) + e^{-tv}(1 - e^{-t(1-v)})
@@ -30,8 +30,9 @@ import numpy as np
 
 from .errors import NonInvertible, ThetaOutOfSupport, ZeroTau, _require_fields
 
-#: largest |theta| the cdf, density, generator and sampler accept.
-THETA_SUPPORT = 50.0
+#: largest |theta| the evaluators accept: the smallest checkerboard cells,
+#: about e^{-2 |theta|}, stay normal floats up to about 350.
+THETA_SUPPORT = 300.0
 
 #: marginal tolerance for constructed checkerboard densities.
 MARGINAL_TOL = 1e-10
@@ -188,7 +189,8 @@ def frank_density(p: FrankParameter, u, v):
     _check_support(p)
     u = _check_unit(u, "u")
     v = _check_unit(v, "v")
-    t = p.theta
+    t = abs(p.theta)  # c_{-theta}(u, v) = c_theta(u, 1 - v)
+    v = v if p.theta > 0.0 else 1.0 - v
     eu = np.exp(-t * u)
     ev = np.exp(-t * v)
     return t * _em(t) * eu * ev / _bracket(t, eu, ev, v) ** 2
@@ -201,7 +203,10 @@ def frank_generator(p: FrankParameter, s):
     if np.any(s < 0.0):
         raise ValueError("generator argument must be >= 0")
     t = p.theta
-    return -np.log1p(np.expm1(-t) * np.exp(-s)) / t
+    x = np.expm1(-t) * np.exp(-s)
+    near = x < -0.5  # 1 + x cancels: use (1 - e^{-s}) + e^{-(theta + s)}
+    same_sign = np.where(near, _em(s) + np.exp(-(t + s)), 1.0)
+    return -(np.log1p(np.where(near, 0.0, x)) + np.log(same_sign)) / t
 
 
 def frank_generator_inverse(p: FrankParameter, s):
@@ -211,7 +216,11 @@ def frank_generator_inverse(p: FrankParameter, s):
     if np.any(s <= 0.0) or np.any(s > 1.0):
         raise ValueError("generator inverse needs s in (0, 1]")
     t = p.theta
-    return -np.log(np.expm1(-t * s) / np.expm1(-t))
+    k, a = np.expm1(-t), np.expm1(-t * s)
+    # log1p(a/k - 1) near a/k = 1; elsewhere a log difference, as a/k can underflow
+    near = a / k >= 0.5
+    gap = np.where(near, np.exp(-t * s) * np.expm1(-t * (1.0 - s)) / k, 0.0)
+    return np.log(np.abs(k)) - np.log(np.abs(np.where(near, k, a))) - np.log1p(-gap)
 
 
 def frank_sample(p: FrankParameter, count: int, seed: int) -> np.ndarray:
@@ -370,10 +379,6 @@ def theta_from_tau(tau: float, tol: float = 1e-10) -> FrankParameter:
 
 # -- checkerboard discretization --------------------------------------------
 
-#: largest |theta| frank_checkerboard accepts: its smallest cells are about
-#: e^{-2 |theta|}, which stay normal floats up to about 350.
-CHECKERBOARD_SUPPORT = 300.0
-
 
 def frank_checkerboard(p: FrankParameter, n: int) -> CheckerboardDensity:
     """Cell masses on the n x n grid, from the cdf's cross-ratio.
@@ -385,8 +390,7 @@ def frank_checkerboard(p: FrankParameter, n: int) -> CheckerboardDensity:
 
     a product of same-sign terms, so no second difference of the cdf
     cancels.  It is computed at |theta| (C_{-theta}(u, v) = u - C_theta(u,
-    1 - v), so a negative theta reverses the columns).  Accepts |theta| up
-    to ``CHECKERBOARD_SUPPORT``.
+    1 - v), so a negative theta reverses the columns).
 
     The Frank copula is radially symmetric, C(u, v) = u + v - 1 + C(1 - u,
     1 - v), so cell (i, j) holds the mass of cell (n-1-i, n-1-j): only the
@@ -395,11 +399,7 @@ def frank_checkerboard(p: FrankParameter, n: int) -> CheckerboardDensity:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if abs(p.theta) > CHECKERBOARD_SUPPORT:
-        raise ThetaOutOfSupport(
-            f"|theta| <= {CHECKERBOARD_SUPPORT} is the supported range for "
-            f"the Frank checkerboard, got {p.theta}"
-        )
+    _check_support(p)
     t = abs(p.theta)
     h = (n + 1) // 2
     nodes = np.arange(n + 1) / n

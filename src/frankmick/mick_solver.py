@@ -27,8 +27,8 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .copula_core import (
-    CHECKERBOARD_SUPPORT,
     MARGINAL_TOL,
+    THETA_SUPPORT,
     CheckerboardDensity,
     FrankParameter,
     _tau_slope,
@@ -391,9 +391,9 @@ def tau_max_for_grid(n: int) -> float:
 
 def _frank_board(lam: float, n: int) -> CheckerboardDensity | None:
     """F(4 lam): the Frank checkerboard at theta = 4 lam, the uniform board
-    at lam = 0, and None beyond CHECKERBOARD_SUPPORT."""
+    at lam = 0, and None beyond THETA_SUPPORT."""
     theta = 4.0 * lam
-    if abs(theta) > CHECKERBOARD_SUPPORT:
+    if abs(theta) > THETA_SUPPORT:
         return None
     if theta == 0.0:
         return uniform_checkerboard(n)
@@ -404,7 +404,7 @@ def _transport(p: CheckerboardDensity, old, new, tol=MARGINAL_TOL):
     """Sinkhorn(p * new / old) to tol: p carried from the multiplier of the
     _frank_board old to that of new (see solve_mick).  Returns p itself
     when either board is None or a kernel cell underflows to 0 (within
-    CHECKERBOARD_SUPPORT the boards' ratio stays finite)."""
+    THETA_SUPPORT the boards' ratio stays finite)."""
     if old is None or new is None:
         return p
     kernel = p.masses * (new.masses / old.masses)
@@ -452,7 +452,7 @@ def solve_mick(cfg: SolverConfig) -> SolverReport:
 
     With multiplier_init "auto" the first evaluation starts from the Frank
     checkerboard F(4 lambda_0) -- the paper's answer, within O(n^-2) of the
-    discrete one -- when |4 lambda_0| <= CHECKERBOARD_SUPPORT, and
+    discrete one -- when |4 lambda_0| <= THETA_SUPPORT, and
     otherwise, as with an explicit multiplier_init, from the uniform board.
     On fine grids that board often meets tol_in itself and is accepted
     unprojected; its implied theta is then the seed, right to within
@@ -462,7 +462,7 @@ def solve_mick(cfg: SolverConfig) -> SolverReport:
     F(theta) the Frank checkerboard and F(0) the uniform board
     (_transport).  As p - F(4 lambda) is O(n^-2), this start misses the
     solution at lambda' by O(dlambda n^-2 + dlambda^2), not O(dlambda).
-    When either |4 lambda| exceeds CHECKERBOARD_SUPPORT, or the kernel
+    When either |4 lambda| exceeds THETA_SUPPORT, or the kernel
     underflows, it starts from p.  Each evaluation builds one Frank board
     and keeps it for the next.
     """

@@ -303,6 +303,42 @@ def frank_cells_mp(theta, n, cells, dps):
         ]
 
 
+def frank_cdf_mp(theta, u, v, dps):
+    """Frank cdf -(1/theta) log(1 + expm1(-theta u) expm1(-theta v) /
+    expm1(-theta)) in mpmath at ``dps`` digits."""
+    with mpmath.workdps(dps):
+        t, u, v = mpmath.mpf(theta), mpmath.mpf(u), mpmath.mpf(v)
+        return float(
+            -mpmath.log1p(mpmath.expm1(-t * u) * mpmath.expm1(-t * v) / mpmath.expm1(-t))
+            / t
+        )
+
+
+def frank_density_mp(theta, u, v, dps):
+    """Frank density theta (1 - e^-theta) e^{-theta (u + v)} / D^2, D = 1 -
+    e^-theta - (1 - e^{-theta u})(1 - e^{-theta v}), straight from the
+    definition; D cancels, so dps must grow with |theta|."""
+    with mpmath.workdps(dps):
+        t, u, v = mpmath.mpf(theta), mpmath.mpf(u), mpmath.mpf(v)
+        k = -mpmath.expm1(-t)
+        d = k - mpmath.expm1(-t * u) * mpmath.expm1(-t * v)
+        return float(t * k * mpmath.exp(-t * (u + v)) / d**2)
+
+
+def frank_generator_mp(theta, s, dps):
+    """psi(s) = -(1/theta) log(1 + expm1(-theta) e^-s) in mpmath."""
+    with mpmath.workdps(dps):
+        t, s = mpmath.mpf(theta), mpmath.mpf(s)
+        return float(-mpmath.log1p(mpmath.expm1(-t) * mpmath.exp(-s)) / t)
+
+
+def frank_generator_inverse_mp(theta, s, dps):
+    """psi^{-1}(s) = -log(expm1(-theta s) / expm1(-theta)) in mpmath."""
+    with mpmath.workdps(dps):
+        t, s = mpmath.mpf(theta), mpmath.mpf(s)
+        return float(-mpmath.log(mpmath.expm1(-t * s) / mpmath.expm1(-t)))
+
+
 def reference_board_json(board, tau=None, theta=None) -> str:
     """A board's JSON text, element by element as the format first shipped."""
     masses = [float(x) for x in board.masses.ravel()]

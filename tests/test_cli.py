@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import re
 from dataclasses import asdict
 from pathlib import Path
@@ -42,6 +43,21 @@ class TestFrankCommands:
         )
         assert code == 0
         assert float(out) > 1.0  # positive dependence peaks on the diagonal
+
+    def test_eval_up_to_the_support_bound(self, capsys):
+        code, out, _ = run(
+            capsys, "frank", "eval", "--theta", "-300", "--pdf",
+            "--u", "0.3", "--v", "0.6",
+        )
+        assert code == 0
+        assert math.isfinite(float(out)) and float(out) > 0.0
+        code, _, err = run(
+            capsys, "frank", "eval", "--theta", "400", "--u", "0.3", "--v", "0.6"
+        )
+        assert code == 1
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ThetaOutOfSupport"
 
     def test_checkerboard_json_and_csv(self, capsys, tmp_path):
         jpath = tmp_path / "board.json"

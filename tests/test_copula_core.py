@@ -43,11 +43,17 @@ class TestFrankParameter:
             FrankParameter(bad)
 
     def test_evaluators_reject_extreme_theta(self):
-        p = FrankParameter(60.0)  # the value itself is legal
-        with pytest.raises(ValueError):
-            frank_cdf(p, 0.5, 0.5)
-        with pytest.raises(ValueError):
-            frank_density(p, 0.5, 0.5)
+        p = FrankParameter(400.0)  # the value itself is legal
+        for evaluate in (
+            lambda: frank_cdf(p, 0.5, 0.5),
+            lambda: frank_density(p, 0.5, 0.5),
+            lambda: frank_generator(p, 0.5),
+            lambda: frank_generator_inverse(p, 0.5),
+            lambda: frank_sample(p, 10, seed=0),
+            lambda: frank_checkerboard(p, 4),
+        ):
+            with pytest.raises(ThetaOutOfSupport):
+                evaluate()
 
     def test_extreme_theta_error_is_typed(self):
         p = FrankParameter(400.0)
@@ -127,6 +133,11 @@ class TestGenerator:
         assert np.max(
             np.abs(frank_generator_inverse(p, frank_generator(p, t)) - t)
         ) <= 1e-12
+
+    @pytest.mark.parametrize("theta", [20.0, 30.0, 40.0, 50.0])
+    def test_value_at_zero_is_one(self, theta):
+        # 1 + (e^-theta - 1) e^-s cancels to e^-theta at s = 0
+        assert abs(frank_generator(FrankParameter(theta), 0.0) - 1.0) <= 1e-15
 
     def test_reference_value_negative_theta(self):
         got = float(frank_generator_inverse(FrankParameter(-2.0), 0.6))

@@ -12,7 +12,6 @@ from frankmick import (
     sweep_to_svg,
 )
 from frankmick import harness
-from frankmick.copula_core import THETA_SUPPORT
 from frankmick.errors import GridMismatch
 
 
@@ -86,18 +85,16 @@ class TestConvergenceSweep:
         assert result.grid_sizes == [16]
 
     def test_theta_out_of_support_flagged_not_raised(self):
-        # theta(0.93) > THETA_SUPPORT: n = 8 cannot reach the tau, n = 16
-        # solves and is compared with the Frank checkerboard, whose own
-        # support reaches past THETA_SUPPORT
+        # theta(0.93) ~ 55: n = 8 cannot reach the tau, n = 16 solves and
+        # is compared with the Frank checkerboard
         result = convergence_sweep(0.93, [8, 16], SolverConfig(n=8, target_tau=0.93))
-        assert result.theta > THETA_SUPPORT
         assert result.grid_sizes == [16]
         assert np.isfinite(result.sup_errors[0]) and result.sup_errors[0] > 0.0
         assert "TauInfeasible" in result.failures[8]
         assert 16 not in result.failures
 
     def test_theta_beyond_board_support_fails_without_solving(self, monkeypatch):
-        # theta(0.99) > CHECKERBOARD_SUPPORT: no reference board, so no solve
+        # theta(0.99) > THETA_SUPPORT: no reference board, so no solve
         calls = []
         solve = harness.solve_mick
         monkeypatch.setattr(

@@ -24,7 +24,7 @@ from frankmick import (
 )
 from frankmick.concordance import _potential_from_masses
 from frankmick import mick_solver
-from frankmick.copula_core import CHECKERBOARD_SUPPORT, MARGINAL_TOL
+from frankmick.copula_core import MARGINAL_TOL, THETA_SUPPORT
 from frankmick.errors import (
     BracketFailure,
     DivergenceDetected,
@@ -365,6 +365,28 @@ class TestOuterSearch:
             solve_mick(SolverConfig(n=8, target_tau=0.307))
         assert len(taus) > 2
         assert err.value.tau_range == (min(taus), max(taus))
+
+    def test_secant_leaving_the_bracket_takes_its_midpoint(self, monkeypatch):
+        # a tau(lambda) flat above a steep rise at 1.1: from 1.0 (below) and
+        # 1.5 (above), the secant lands at ~1.245, still on the flat part,
+        # and the secant through the two flat points points far below 1.0
+        lams = []
+
+        def steep(start, lambda_d, cfg, off_target_exit=False):
+            lams.append(lambda_d)
+            tau = 0.307 + 0.2 * math.tanh(20.0 * (lambda_d - 1.1))
+            state = SolverState(start, lambda_d, np.zeros(cfg.n), np.zeros(cfg.n))
+            return SolverReport(state, tau, 0.0, 1, 1, True, 4.0 * lambda_d)
+
+        monkeypatch.setattr(mick_solver, "inner_fixed_point", steep)
+        cfg = SolverConfig(n=8, target_tau=0.307, multiplier_init=1.0)
+        report = solve_mick(cfg)
+        lo, hi = lams[0], lams[2]
+        assert lams[1] > hi > 1.1 > lo
+        assert lams[3] == 0.5 * (lo + hi)
+        assert abs(report.achieved_tau - 0.307) <= cfg.tol_tau
+        assert report.outer_iterations == len(lams)
+
 
 class TestSolveMick:
     def test_zero_tau_is_uniform(self):
@@ -909,7 +931,7 @@ def newton_counted_solve(n, tau):
 
 
 class TestBeyondCheckerboardSupport:
-    # theta(tau) > CHECKERBOARD_SUPPORT: the solve starts on the uniform
+    # theta(tau) > THETA_SUPPORT: the solve starts on the uniform
     # board, and its projections only meet tol_p through the Newton finish
     @pytest.mark.parametrize("n, tau", [(128, 0.99), (96, 0.988)])
     def test_converges_at_default_config(self, n, tau):
@@ -917,7 +939,7 @@ class TestBeyondCheckerboardSupport:
         assert report.converged
         assert abs(report.achieved_tau - tau) <= 1e-6
         assert math.isfinite(report.implied_theta)
-        assert report.implied_theta > CHECKERBOARD_SUPPORT
+        assert report.implied_theta > THETA_SUPPORT
 
     def test_newton_finish_runs_at_n128(self):
         _, sizes = newton_counted_solve(128, 0.99)
@@ -988,7 +1010,7 @@ class TestFrankStart:
         assert lam == 2.0
 
     def test_beyond_checkerboard_support_starts_uniform(self, monkeypatch):
-        assert 4.0 * seed_multiplier(128, 0.99) > CHECKERBOARD_SUPPORT
+        assert 4.0 * seed_multiplier(128, 0.99) > THETA_SUPPORT
         start, _ = self.first_start(monkeypatch, SolverConfig(n=128, target_tau=0.99))
         assert np.array_equal(start, uniform_checkerboard(128).masses)
 
@@ -1127,7 +1149,7 @@ class TestTransportedStart:
         report = solve_mick(cfg)
         assert report.converged
         assert abs(report.achieved_tau - 0.975) <= cfg.tol_tau
-        assert 4.0 * 76.0 > CHECKERBOARD_SUPPORT > report.implied_theta
+        assert 4.0 * 76.0 > THETA_SUPPORT > report.implied_theta
         self.assert_same_fixed_point(report, cfg)
 
 
