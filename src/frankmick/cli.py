@@ -57,7 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = fsub.add_parser("theta", help="invert tau to theta")
     p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
 
     p = fsub.add_parser("checkerboard", help="write the n x n checkerboard")
     p.add_argument("--theta", type=float, required=True)
@@ -118,7 +117,7 @@ def _run(args) -> int:
         elif args.command == "tau":
             print(f"{cc.tau_from_theta(param):.3f}")
         elif args.command == "theta":
-            print(f"{cc.theta_from_tau(args.tau, args.tol).theta:.12g}")
+            print(f"{cc.theta_from_tau(args.tau).theta:.12g}")
         elif args.command == "checkerboard":
             board = cc.frank_checkerboard(param, args.n)
             tau = cc.tau_from_theta(param)

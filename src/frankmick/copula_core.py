@@ -59,7 +59,7 @@ def _check_support(p: FrankParameter):
 
 def _check_unit(x, name):
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(x > 1.0):
+    if not np.all((x >= 0.0) & (x <= 1.0)):  # NaN fails both
         raise ValueError(f"{name} must lie in [0, 1]")
     return x
 
@@ -67,6 +67,12 @@ def _check_unit(x, name):
 def _em(x):
     """1 - e^{-x}, accurate for small |x|."""
     return -np.expm1(-x)
+
+
+def _log1p_split(x, far_log):
+    """log(1 + x): log1p(x), or far_log where x < -1/2 and 1 + x cancels."""
+    far = x < -0.5
+    return np.log1p(np.where(far, 0.0, x)) + np.where(far, far_log, 0.0)
 
 
 def _bracket(t, eu, ev, v):
@@ -180,8 +186,9 @@ def frank_cdf(p: FrankParameter, u, v):
     u = _check_unit(u, "u")
     v = _check_unit(v, "v")
     t = p.theta
-    bracket = _bracket(t, np.exp(-t * u), np.exp(-t * v), v)
-    return -np.log(bracket / _em(t)) / t
+    x = np.expm1(-t * u) / np.expm1(-t) * np.expm1(-t * v)  # no underflow at tiny t
+    bracket = _bracket(t, np.exp(-t * u), np.exp(-t * v), v)  # (1 + x)(1 - e^{-t})
+    return -_log1p_split(x, np.log(bracket / _em(t))) / t
 
 
 def frank_density(p: FrankParameter, u, v):
@@ -193,7 +200,8 @@ def frank_density(p: FrankParameter, u, v):
     v = v if p.theta > 0.0 else 1.0 - v
     eu = np.exp(-t * u)
     ev = np.exp(-t * v)
-    return t * _em(t) * eu * ev / _bracket(t, eu, ev, v) ** 2
+    b = _bracket(t, eu, ev, v)  # divided into each small factor: no 0/0 at tiny t
+    return (t / b) * (_em(t) / b) * eu * ev
 
 
 def frank_generator(p: FrankParameter, s):
@@ -203,10 +211,8 @@ def frank_generator(p: FrankParameter, s):
     if np.any(s < 0.0):
         raise ValueError("generator argument must be >= 0")
     t = p.theta
-    x = np.expm1(-t) * np.exp(-s)
-    near = x < -0.5  # 1 + x cancels: use (1 - e^{-s}) + e^{-(theta + s)}
-    same_sign = np.where(near, _em(s) + np.exp(-(t + s)), 1.0)
-    return -(np.log1p(np.where(near, 0.0, x)) + np.log(same_sign)) / t
+    x = np.expm1(-t) * np.exp(-s)  # 1 + x = (1 - e^{-s}) + e^{-(theta + s)}
+    return -_log1p_split(x, np.log(_em(s) + np.exp(-(t + s)))) / t
 
 
 def frank_generator_inverse(p: FrankParameter, s):
@@ -217,10 +223,8 @@ def frank_generator_inverse(p: FrankParameter, s):
         raise ValueError("generator inverse needs s in (0, 1]")
     t = p.theta
     k, a = np.expm1(-t), np.expm1(-t * s)
-    # log1p(a/k - 1) near a/k = 1; elsewhere a log difference, as a/k can underflow
-    near = a / k >= 0.5
-    gap = np.where(near, np.exp(-t * s) * np.expm1(-t * (1.0 - s)) / k, 0.0)
-    return np.log(np.abs(k)) - np.log(np.abs(np.where(near, k, a))) - np.log1p(-gap)
+    x = -np.exp(-t * s) * np.expm1(-t * (1.0 - s)) / k  # a/k - 1
+    return -_log1p_split(x, np.log(np.abs(a)) - np.log(np.abs(k)))  # a/k may underflow
 
 
 def frank_sample(p: FrankParameter, count: int, seed: int) -> np.ndarray:
@@ -344,22 +348,20 @@ _THETA_SEARCH_CAP = 600.0
 _TAU_AT_CAP = _tau(_THETA_SEARCH_CAP)
 
 
-def theta_from_tau(tau: float, tol: float = 1e-10) -> FrankParameter:
+def theta_from_tau(tau: float) -> FrankParameter:
     """Invert the tau-theta relation by Newton's method on |tau| from below.
 
     tau is increasing and concave on theta > 0 with tau(theta) <= theta/9,
     so Newton steps from 9|tau| climb to the root without overshooting.
-    They stop at |tau_from_theta(result) - tau| <= tol or once a step no
-    longer climbs, keeping one more step if it lands closer.  Raises
-    ZeroTau for tau = 0 (independence has no Frank parameter) and
-    NonInvertible when |tau| >= 1 or |tau| > tau(600).
+    They climb until a step no longer does, which happens at round-off,
+    and the last iterate they reached is the answer.  Raises ZeroTau for
+    tau = 0 (independence has no Frank parameter) and NonInvertible when
+    |tau| >= 1 or |tau| > tau(600).
     """
     if not math.isfinite(tau) or abs(tau) >= 1.0:
         raise NonInvertible(f"tau must lie in (-1, 1), got {tau}")
     if tau == 0.0:
         raise ZeroTau("tau = 0 corresponds to independence, not a Frank copula")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     target = abs(tau)
     if target > _TAU_AT_CAP:
         raise NonInvertible(
@@ -368,12 +370,10 @@ def theta_from_tau(tau: float, tol: float = 1e-10) -> FrankParameter:
 
     step = 9.0 * target
     for _ in range(200):
-        t, g = step, _tau(step) - target
-        step = t - g / _tau_slope(t)
-        if abs(g) <= tol or step <= t:
+        t = step
+        step = t - (_tau(t) - target) / _tau_slope(t)
+        if step <= t:
             break
-    if step != t:
-        t = min((abs(g), t), (abs(_tau(step) - target), step))[1]
     return FrankParameter(math.copysign(t, tau))
 
 

@@ -73,8 +73,8 @@ class SolverConfig:
             raise ValueError("n must be >= 1")
         if not -1.0 < self.target_tau < 1.0:
             raise ValueError("target_tau must lie in (-1, 1)")
-        if self.tol_tau <= 0.0 or self.tol_fix <= 0.0:
-            raise ValueError("tolerances must be strictly positive")
+        if not (0.0 < self.tol_tau < math.inf and 0.0 < self.tol_fix < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_inner < 1 or self.max_outer < 1:
             raise ValueError("max_inner and max_outer must be >= 1")
         if not 0.0 < self.damping <= 1.0:
@@ -226,7 +226,7 @@ def _newton_direction(P, sums):
     return dx, np.concatenate(([0.0], dy))
 
 
-def _newton_finish(K, r, c, tol=MARGINAL_TOL):
+def _newton_finish(K, r, c, tol):
     """Sinkhorn-Newton (Brauer, Clason, Lorenz & Wirth 2017) on (log r, log c).
 
     Returns (P, c) with P = D_r K D_c once both marginals are within tol,
@@ -400,7 +400,7 @@ def _frank_board(lam: float, n: int) -> CheckerboardDensity | None:
     return frank_checkerboard(FrankParameter(theta), n)
 
 
-def _transport(p: CheckerboardDensity, old, new, tol=MARGINAL_TOL):
+def _transport(p: CheckerboardDensity, old, new, tol):
     """Sinkhorn(p * new / old) to tol: p carried from the multiplier of the
     _frank_board old to that of new (see solve_mick).  Returns p itself
     when either board is None or a kernel cell underflows to 0 (within

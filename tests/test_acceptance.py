@@ -42,7 +42,7 @@ def test_criterion_1_tau_theta_relation():
     elapsed = time.perf_counter() - t0
     worst = 0.0
     for theta in (-10.0, -3.0, -1.0, -0.5, 0.5, 1.0, 3.0, 10.0):
-        back = theta_from_tau(tau_from_theta(FrankParameter(theta)), tol=1e-12)
+        back = theta_from_tau(tau_from_theta(FrankParameter(theta)))
         worst = max(worst, abs(back.theta - theta))
     ok = abs(tau3 - 0.307) <= 1e-3 and worst <= 1e-8 and elapsed < 1e-3
     _report(

@@ -62,6 +62,8 @@ def test_solver_signatures():
     assert params(solve_mick) == ["cfg"]
     assert params(inner_fixed_point) == ["start", "lambda_d", "cfg", "off_target_exit"]
     assert params(sinkhorn_project) == ["kernel"]
+    # the inversion runs to round-off: it has no tolerance to pass
+    assert params(frankmick.theta_from_tau) == ["tau"]
 
 
 def test_solver_fields():

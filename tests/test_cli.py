@@ -189,6 +189,8 @@ class TestErrorHandling:
         assert run(capsys, "frank")[0] == 2
         assert run(capsys, "nonsense")[0] == 2
         assert run(capsys, "frank", "tau")[0] == 2  # missing --theta
+        # the inversion runs to round-off: there is no tolerance to set
+        assert run(capsys, "frank", "theta", "--tau", "0.3", "--tol", "1e-10")[0] == 2
 
     def test_numeric_error_exit_1_with_json(self, capsys):
         code, _, err = run(capsys, "frank", "tau", "--theta", "0")
@@ -260,6 +262,14 @@ class TestErrorHandling:
         assert diag["error"] == "ValueError"
         assert f"field '{field}'" in diag["message"]
 
+    def test_nan_coordinate_is_one_json_line(self, capsys):
+        code, out, err = run(
+            capsys, "frank", "eval", "--theta", "3", "--u", "0.5", "--v", "nan"
+        )
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"] == "ValueError"
+
     def test_solve_has_no_damping_option(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "mick", "solve", "--tau", "0.307", "--n", "8",
@@ -283,11 +293,11 @@ def test_every_option_is_in_readme():
             prefix = f"frankmick {group} {command} "
             lines = [ln for ln in block.splitlines() if ln.startswith(prefix)]
             assert lines, prefix
-            for action in parser._actions:
-                for opt in action.option_strings:
-                    if opt in ("-h", "--help"):
-                        continue
-                    pattern = re.escape(opt) + r"(?![\w-])"
-                    assert any(re.search(pattern, ln) for ln in lines), (
-                        f"{prefix}{opt}"
-                    )
+            options = {o for a in parser._actions for o in a.option_strings}
+            for opt in options - {"-h", "--help"}:
+                pattern = re.escape(opt) + r"(?![\w-])"
+                assert any(re.search(pattern, ln) for ln in lines), f"{prefix}{opt}"
+            # and no README line shows an option the subcommand lacks
+            for ln in lines:
+                for opt in re.findall(r"--[\w-]+", ln):
+                    assert opt in options, f"{prefix}{opt}"

@@ -103,7 +103,7 @@ class TestBridgeAgainstMpmath:
     @example(SWITCH[3])
     def test_round_trip(self, theta):
         tau = tau_from_theta(FrankParameter(theta))
-        back = theta_from_tau(tau, tol=1e-12).theta
+        back = theta_from_tau(tau).theta
         assert abs(tau_from_theta(FrankParameter(back)) - tau) <= 1e-12
         # tau is monotone with slope tau'(theta) there, so the promise on
         # tau bounds how far theta may move
@@ -148,22 +148,17 @@ EVAL_THETAS = [
 ]
 PSI_ARGS = [0.0, 1e-300, 1e-12, 1e-6, 0.01, 0.5, 1.0, 5.0, 50.0]
 PSI_INV_ARGS = [1e-300, 1e-12, 1e-6, 0.01, 0.3, 0.5, 0.9, 1.0 - 1e-9, 1.0]
-# the cdf's log of bracket / (1 - e^-theta), a ratio within |theta| of 1,
-# loses about 1e-16 / |theta| near independence: a known defect, kept in view
-_CDF_NEAR_INDEPENDENCE = pytest.mark.xfail(
-    strict=True, reason="frank_cdf loses about 1e-16 / |theta| absolute"
-)
-CDF_THETAS = [
-    pytest.param(t, marks=_CDF_NEAR_INDEPENDENCE) if abs(t) < 1.0 else t
-    for t in EVAL_THETAS
-]
+# near independence down to |theta| = 1e-300: the cdf's log1p argument and
+# the density's factors are each formed without a product of two tiny terms
+TINY_THETAS = [s * m for m in (1e-12, 1e-100, 1e-300) for s in (1.0, -1.0)]
+CDF_THETAS = EVAL_THETAS + TINY_THETAS
 
 
 class TestEvaluatorsAgainstMpmath:
     """One support bound for every closed form: each evaluator holds its
     accuracy up to |theta| = THETA_SUPPORT."""
 
-    @pytest.mark.parametrize("theta", EVAL_THETAS)
+    @pytest.mark.parametrize("theta", EVAL_THETAS + [1e-300, -1e-300])
     def test_density(self, theta):
         rng = np.random.default_rng(11)
         u, v = rng.random(300), rng.random(300)

@@ -98,6 +98,15 @@ class TestFrankCdf:
             frank_cdf(p, -0.1, 0.5)
         with pytest.raises(ValueError):
             frank_cdf(p, 0.5, 1.1)
+        # NaN is neither below 0 nor above 1, but it is not in [0, 1]
+        board = frank_checkerboard(p, 4)
+        for evaluate in (
+            lambda: frank_cdf(p, 0.5, math.nan),
+            lambda: frank_density(p, np.array([0.2, math.nan]), 0.5),
+            lambda: checkerboard_cdf_eval(board, math.nan, 0.5),
+        ):
+            with pytest.raises(ValueError):
+                evaluate()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -291,15 +300,14 @@ class TestTauTheta:
     @pytest.mark.parametrize("theta", [-10.0, -3.0, -0.5, 0.5, 3.0, 10.0])
     def test_round_trip(self, theta):
         tau = tau_from_theta(FrankParameter(theta))
-        assert theta_from_tau(tau, tol=1e-12).theta == pytest.approx(
+        assert theta_from_tau(tau).theta == pytest.approx(
             theta, abs=1e-8
         )
 
     def test_extreme_tau_residual(self):
-        tol = 1e-9
-        p = theta_from_tau(0.99, tol=tol)
+        p = theta_from_tau(0.99)
         assert math.isfinite(p.theta) and p.theta > 50.0
-        assert abs(tau_from_theta(p) - 0.99) <= tol
+        assert abs(tau_from_theta(p) - 0.99) <= 1e-9
 
     def test_error_cases(self):
         with pytest.raises(ZeroTau):
@@ -308,18 +316,26 @@ class TestTauTheta:
             theta_from_tau(1.0)
         with pytest.raises(NonInvertible):
             theta_from_tau(-1.5)
-        with pytest.raises(ValueError):
-            theta_from_tau(0.3, tol=0.0)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_search_cap(self, sign):
         # tau(600) = 0.99335161...: just below it inverts, just above it
         # raises at once
-        p = theta_from_tau(sign * 0.99335, tol=1e-12)
+        p = theta_from_tau(sign * 0.99335)
         assert sign * p.theta == pytest.approx(599.854, abs=1e-3)
         assert abs(tau_from_theta(p) - sign * 0.99335) <= 1e-12
         with pytest.raises(NonInvertible):
             theta_from_tau(sign * 0.9934)
+
+    def test_round_trip_to_round_off(self):
+        # the inversion has no tolerance: it climbs until round-off stops it
+        rng = np.random.default_rng(5)
+        taus = np.exp(rng.uniform(math.log(1e-12), math.log(0.9933), 20_000))
+        taus *= rng.choice([-1.0, 1.0], taus.size)
+        worst = max(
+            abs(tau_from_theta(theta_from_tau(t)) - t) / abs(t) for t in taus.tolist()
+        )
+        assert worst <= 4e-15
 
     def test_newton_from_below_premise(self):
         # theta_from_tau climbs by Newton steps from 9|tau| and never checks
@@ -353,7 +369,7 @@ class TestTauThetaSmall:
             p = theta_from_tau(signed)
             assert abs(tau_from_theta(p) - signed) <= 1e-10
             assert abs(frank_tau_mp(p.theta) - signed) <= 1e-10
-        tight = theta_from_tau(tau, tol=1e-8 * tau)
+        tight = theta_from_tau(tau)
         assert tight.theta == pytest.approx(frank_theta_mp(tau), rel=1e-7)
 
 

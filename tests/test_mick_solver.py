@@ -29,6 +29,7 @@ from frankmick.errors import (
     BracketFailure,
     DivergenceDetected,
     NoConvergence,
+    NotConverged,
     TauInfeasible,
 )
 
@@ -138,13 +139,13 @@ class TestInnerFixedPoint:
 
     def test_accelerated_steps_at_matched_multiplier(self):
         # the plain damped iteration needs 36 steps here
-        lam = theta_from_tau(0.307, 1e-10).theta / 4.0
+        lam = theta_from_tau(0.307).theta / 4.0
         cfg = SolverConfig(n=64, target_tau=0.307)
         report = inner_fixed_point(uniform_checkerboard(64), lam, cfg)
         assert report.inner_iterations_total <= 20
 
     def test_stops_at_first_step_within_tol_fix(self):
-        lam = theta_from_tau(0.307, 1e-10).theta / 4.0
+        lam = theta_from_tau(0.307).theta / 4.0
         cfg = SolverConfig(n=4, target_tau=0.307)
 
         def residual(state):
@@ -162,7 +163,7 @@ class TestInnerFixedPoint:
         assert residual(again.state) > cfg.tol_fix
 
     @pytest.mark.parametrize(
-        "n, lam", [(8, 0.75), (64, theta_from_tau(0.307, 1e-10).theta / 4.0)]
+        "n, lam", [(8, 0.75), (64, theta_from_tau(0.307).theta / 4.0)]
     )
     def test_evaluation_report(self, n, lam):
         cfg = SolverConfig(n=n, target_tau=-0.5)  # far from the tau reached
@@ -192,7 +193,7 @@ class TestInnerFixedPoint:
 def bridge_evaluation(n, tau, tol_tau, off_target_exit=False):
     """The first evaluation of solve_mick's search: at lambda_0 = theta(tau)
     / 4 from the Frank checkerboard."""
-    lam = theta_from_tau(tau, 1e-10).theta / 4.0
+    lam = theta_from_tau(tau).theta / 4.0
     start = frank_checkerboard(FrankParameter(4.0 * lam), n)
     cfg = SolverConfig(n=n, target_tau=tau, tol_tau=tol_tau)
     return inner_fixed_point(start, lam, cfg, off_target_exit)
@@ -491,6 +492,11 @@ class TestSolveMick:
             SolverConfig(n=4, target_tau=0.3, damping=0.0)
         with pytest.raises(ValueError):
             SolverConfig(n=4, target_tau=0.3, tol_tau=-1.0)
+        # tol_tau = nan used to run max_outer evaluations into NoConvergence
+        for field in ("tol_tau", "tol_fix"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError):
+                    SolverConfig(n=4, target_tau=0.3, **{field: value})
 
     @pytest.mark.parametrize(
         "limit, value",
@@ -777,7 +783,7 @@ class TestNewtonFinish:
         # has to hold them back
         K = SLOW_KERNELS[name]()
         ones = np.ones(K.shape[0])
-        P, c = mick_solver._newton_finish(K, 0.01 * ones, ones)
+        P, c = mick_solver._newton_finish(K, 0.01 * ones, ones, MARGINAL_TOL)
         assert P is not None and c[0] == 1.0  # c[0] is the gauge
         assert np.max(np.abs(P - sinkhorn_sweeps(K))) <= 1e-12
 
@@ -805,6 +811,17 @@ class TestNewtonFinish:
         P = sinkhorn_project(K).masses
         assert len(calls) == 1
         assert np.array_equal(P, self.sweeps_only(K))
+
+    def test_sweep_cap_raises_not_converged(self, monkeypatch):
+        # plain sweeps on this kernel need between 200 and 400 to reach
+        # MARGINAL_TOL; with Newton stalled at once, 50 cannot
+        monkeypatch.setattr(mick_solver, "_SINKHORN_CAP", 50)
+        monkeypatch.setattr(mick_solver, "_newton_finish", lambda K, r, c, tol: (None, c))
+        K = high_theta_kernel()
+        with pytest.raises(NotConverged):
+            mick_solver._sinkhorn(K, MARGINAL_TOL)
+        with pytest.raises(NotConverged):
+            sinkhorn_project(K)
 
     @pytest.mark.parametrize("scale", [0.5, 1.0])
     def test_well_conditioned_kernel_never_switches(self, monkeypatch, scale):
@@ -947,7 +964,7 @@ class TestBeyondCheckerboardSupport:
 
 
 def bridge_multiplier(tau):
-    return theta_from_tau(tau, 1e-10).theta / 4.0
+    return theta_from_tau(tau).theta / 4.0
 
 
 @lru_cache(maxsize=None)
@@ -1130,7 +1147,7 @@ class TestTransportedStart:
     def test_transport_of_a_frank_board_is_the_new_board(self):
         old = frank_checkerboard(FrankParameter(3.0), 16)
         new = frank_checkerboard(FrankParameter(3.5), 16)
-        moved = mick_solver._transport(old, old, new)
+        moved = mick_solver._transport(old, old, new, MARGINAL_TOL)
         assert np.max(np.abs(moved.masses - new.masses)) <= 1e-12
 
     def test_underflowing_kernel_starts_from_previous_masses(self):
@@ -1139,9 +1156,9 @@ class TestTransportedStart:
         old = uniform_checkerboard(2)
         new = CheckerboardDensity(2, np.array([[0.5, 1e-30], [1e-30, 0.5]]))
         # tiny * 4e-30 underflows to 0
-        assert mick_solver._transport(p, old, new) is p
-        assert mick_solver._transport(p, None, new) is p
-        assert mick_solver._transport(p, old, None) is p
+        assert mick_solver._transport(p, old, new, MARGINAL_TOL) is p
+        assert mick_solver._transport(p, None, new, MARGINAL_TOL) is p
+        assert mick_solver._transport(p, old, None, MARGINAL_TOL) is p
 
     def test_path_across_checkerboard_support(self):
         # lambda goes from theta = 304, beyond the boards, to about 234
