@@ -8,6 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .copula_core import CheckerboardDensity, FrankParameter, GridFunction, frank_cdf
+from .copula_core import _log1p_split
 from .errors import NonPositiveDensity
 
 
@@ -115,6 +116,7 @@ def frank_F_identity(p: FrankParameter, n: int) -> float:
     F(u,v) = (e^{-t} - e^{-tv} - e^{-tu} + e^{-t(u+v)}) / (e^{-t} - 1)
     is the bilinear-in-exponentials form whose log reproduces the cdf
     exactly; this returns the largest node deviation on an (n+1)^2 grid.
+    log F is log1p(F - 1), with F - 1 formed as in frank_cdf, wherever F >= 1/2.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -122,8 +124,9 @@ def frank_F_identity(p: FrankParameter, n: int) -> float:
     nodes = np.arange(n + 1) / n
     u = nodes[:, None]
     v = nodes[None, :]
+    x = np.expm1(-t * u) / np.expm1(-t) * np.expm1(-t * v)  # F - 1
     F = (
         np.exp(-t) - np.exp(-t * v) - np.exp(-t * u) + np.exp(-t * (u + v))
     ) / np.expm1(-t)
-    recovered = -np.log(F) / t
+    recovered = -_log1p_split(x, np.log(np.where(x < -0.5, F, 1.0))) / t
     return float(np.max(np.abs(frank_cdf(p, u, v) - recovered)))

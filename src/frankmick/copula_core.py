@@ -224,7 +224,10 @@ def frank_generator_inverse(p: FrankParameter, s):
     t = p.theta
     k, a = np.expm1(-t), np.expm1(-t * s)
     x = -np.exp(-t * s) * np.expm1(-t * (1.0 - s)) / k  # a/k - 1
-    return -_log1p_split(x, np.log(np.abs(a)) - np.log(np.abs(k)))  # a/k may underflow
+    # a/k may underflow: log|a| - log|k|, with |a| = |t| s where a is subnormal
+    small = np.abs(a) < np.finfo(float).tiny
+    log_a = np.where(small, np.log(abs(t)) + np.log(s), np.log(np.abs(a) + small))
+    return -_log1p_split(x, log_a - np.log(np.abs(k)))
 
 
 def frank_sample(p: FrankParameter, count: int, seed: int) -> np.ndarray:

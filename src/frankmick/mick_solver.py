@@ -152,9 +152,9 @@ def _sinkhorn(K, tol):
 
     Each sweep sets r, then c, so the columns are exact and the row
     residual max|r * (K c) - 1/n| is read off the ``K @ c`` product the
-    next sweep needs anyway; P is built and both marginals checked only
-    once that residual is within tol.  A kernel that already carries its
-    column scaling (a warm start) therefore needs few sweeps.
+    next sweep needs anyway; P is built and both marginals checked
+    (_scaled) only once that residual is within tol.  A kernel that already
+    carries its column scaling (a warm start) therefore needs few sweeps.
 
     When the sweeps contract slowly, the projection switches once to a
     Newton finish on the log-scalings (_newton_finish) from the current r
@@ -182,12 +182,8 @@ def _sinkhorn(K, tol):
         Kc = K @ c
         resid = np.abs(r * Kc - target).max()
         if resid <= tol:
-            P = r[:, None] * K * c[None, :]
-            err = max(
-                np.max(np.abs(P.sum(axis=1) - target)),
-                np.max(np.abs(P.sum(axis=0) - target)),
-            )
-            if err <= tol:
+            P, _, miss = _scaled(K, r, c)
+            if miss.max() <= tol:
                 return P
         if newton:
             ratio = resid / prev_resid
@@ -201,6 +197,14 @@ def _sinkhorn(K, tol):
     raise NotConverged(
         f"Sinkhorn scaling did not reach {tol} in {_SINKHORN_CAP} sweeps"
     )
+
+
+def _scaled(K, r, c):
+    """P = D_r K D_c, its row sums then its column sums, and their misses
+    |sums - 1/n|: the exit test of _sinkhorn and _newton_finish."""
+    P = r[:, None] * K * c[None, :]
+    sums = np.concatenate((P.sum(axis=1), P.sum(axis=0)))
+    return P, sums, np.abs(sums - 1.0 / K.shape[0])
 
 
 def _newton_direction(P, sums):
@@ -235,14 +239,7 @@ def _newton_finish(K, r, c, tol):
     _newton_direction, with c[0] held fixed as the gauge, halved until the
     L1 marginal error falls.
     """
-    target = 1.0 / K.shape[0]
-
-    def scaled(r, c):  # P, its row then column sums, and their misses
-        P = r[:, None] * K * c[None, :]
-        sums = np.concatenate((P.sum(axis=1), P.sum(axis=0)))
-        return P, sums, np.abs(sums - target)
-
-    P, sums, miss = scaled(r, c)
+    P, sums, miss = _scaled(K, r, c)
     for _ in range(_NEWTON_STEPS):
         if miss.max() <= tol:
             return P, c
@@ -253,7 +250,7 @@ def _newton_finish(K, r, c, tol):
         err, step = miss.sum(), 1.0
         for _ in range(_NEWTON_STEPS):
             r_t, c_t = r * np.exp(step * dx), c * np.exp(step * dy)
-            P_t, sums_t, miss_t = scaled(r_t, c_t)
+            P_t, sums_t, miss_t = _scaled(K, r_t, c_t)
             if miss_t.sum() < err:
                 break
             step *= 0.5
@@ -389,12 +386,10 @@ def tau_max_for_grid(n: int) -> float:
     return (n - 1) / n
 
 
-def _frank_board(lam: float, n: int) -> CheckerboardDensity | None:
-    """F(4 lam): the Frank checkerboard at theta = 4 lam, the uniform board
-    at lam = 0, and None beyond THETA_SUPPORT."""
-    theta = 4.0 * lam
-    if abs(theta) > THETA_SUPPORT:
-        return None
+def _frank_board(lam: float, n: int) -> CheckerboardDensity:
+    """F(clip(4 lam)): the Frank checkerboard at theta = 4 lam clipped to
+    +-THETA_SUPPORT, and the uniform board at lam = 0."""
+    theta = min(max(4.0 * lam, -THETA_SUPPORT), THETA_SUPPORT)
     if theta == 0.0:
         return uniform_checkerboard(n)
     return frank_checkerboard(FrankParameter(theta), n)
@@ -403,10 +398,8 @@ def _frank_board(lam: float, n: int) -> CheckerboardDensity | None:
 def _transport(p: CheckerboardDensity, old, new, tol):
     """Sinkhorn(p * new / old) to tol: p carried from the multiplier of the
     _frank_board old to that of new (see solve_mick).  Returns p itself
-    when either board is None or a kernel cell underflows to 0 (within
-    THETA_SUPPORT the boards' ratio stays finite)."""
-    if old is None or new is None:
-        return p
+    when a kernel cell underflows to 0 (the clipped boards' cells are
+    normal floats, so their ratio stays finite)."""
     kernel = p.masses * (new.masses / old.masses)
     if not kernel.min() > 0.0:
         return p
@@ -425,8 +418,9 @@ def _with_totals(report: SolverReport, reports) -> SolverReport:
 def solve_mick(cfg: SolverConfig) -> SolverReport:
     """Solve the discrete minimum-information problem for cfg.target_tau.
 
-    Deterministic given the config.  Tau = 0 returns the uniform board at
-    lambda_d = 0; a target beyond the grid's attainable range raises
+    Deterministic given the config.  Tau = 0 is one evaluation: the
+    inner_fixed_point of the uniform board at lambda_d = 0, which that board
+    meets unprojected; a target beyond the grid's attainable range raises
     TauInfeasible.  Otherwise the multiplier search starts at the
     closed-form discrete answer lambda_0 = (theta + 2 theta / (9 tau'(theta)
     n^2)) / 4, theta = theta(tau) (or at cfg.multiplier_init): the Frank
@@ -452,25 +446,22 @@ def solve_mick(cfg: SolverConfig) -> SolverReport:
 
     With multiplier_init "auto" the first evaluation starts from the Frank
     checkerboard F(4 lambda_0) -- the paper's answer, within O(n^-2) of the
-    discrete one -- when |4 lambda_0| <= THETA_SUPPORT, and
-    otherwise, as with an explicit multiplier_init, from the uniform board.
-    On fine grids that board often meets tol_in itself and is accepted
-    unprojected; its implied theta is then the seed, right to within
+    discrete one -- with 4 lambda_0 clipped to +-THETA_SUPPORT
+    (_frank_board); with an explicit multiplier_init, from the uniform
+    board.  On fine grids that board often meets tol_in itself and is
+    accepted unprojected; its implied theta is then the seed, right to within
     tol_tau / tau'.  Each later evaluation, at lambda', starts from the
     previous one's masses p at lambda transported along the Frank boards:
     Sinkhorn(p F(4 lambda') / F(4 lambda)) to the next evaluation's tol_p,
-    F(theta) the Frank checkerboard and F(0) the uniform board
-    (_transport).  As p - F(4 lambda) is O(n^-2), this start misses the
-    solution at lambda' by O(dlambda n^-2 + dlambda^2), not O(dlambda).
-    When either |4 lambda| exceeds THETA_SUPPORT, or the kernel
-    underflows, it starts from p.  Each evaluation builds one Frank board
-    and keeps it for the next.
+    F(theta) the Frank checkerboard with theta clipped as above and F(0)
+    the uniform board (_transport).  As p - F(4 lambda) is O(n^-2), this
+    start misses the solution at lambda' by O(dlambda n^-2 + dlambda^2),
+    not O(dlambda).  When the kernel underflows, it starts from p.  Each
+    evaluation builds one Frank board and keeps it for the next.
     """
     target = cfg.target_tau
     if target == 0.0:
-        density = uniform_checkerboard(cfg.n)
-        state = SolverState(density, 0.0, np.zeros(cfg.n), np.zeros(cfg.n))
-        return SolverReport(state, 0.0, 0.0, 0, 0, converged=True, implied_theta=0.0)
+        return inner_fixed_point(uniform_checkerboard(cfg.n), 0.0, cfg)
     limit = tau_max_for_grid(cfg.n)
     if abs(target) >= limit:
         raise TauInfeasible(
@@ -483,10 +474,7 @@ def solve_mick(cfg: SolverConfig) -> SolverReport:
     else:
         lam = float(cfg.multiplier_init)
     board = _frank_board(lam, cfg.n)  # F(4 lambda) of the last evaluation
-    if cfg.multiplier_init == "auto" and board is not None:
-        start = board
-    else:
-        start = uniform_checkerboard(cfg.n)
+    start = board if cfg.multiplier_init == "auto" else uniform_checkerboard(cfg.n)
 
     reports = []  # one per evaluation
     # first slope dtau/dlambda: the Frank bridge's, tau'(theta) at theta = 4 lambda

@@ -219,13 +219,15 @@ def random_checkerboard(rng, n) -> np.ndarray:
     return sinkhorn_project(np.exp(rng.normal(size=(n, n)))).masses
 
 
-def random_feasible_with_tau(rng, n, target, tol=1e-10):
+def random_feasible_with_tau(rng, n, target):
     """Random density with uniform marginals and tau = target.
 
-    Tilts a random kernel along a concordant direction and bisects the
-    tilt until tau matches; returns None (rejection) when the random
-    kernel's reachable tau range does not bracket the target.
+    Tilts a random kernel along a concordant direction and finds the tilt
+    whose tau matches by Brent's method; returns None (rejection) when the
+    random kernel's reachable tau range does not bracket the target.
     """
+    from scipy.optimize import brentq
+
     from frankmick.errors import NotConverged
 
     g = (2.0 * np.arange(1, n + 1) - 1.0 - n) / n
@@ -244,18 +246,7 @@ def random_feasible_with_tau(rng, n, target, tol=1e-10):
             return None
     except NotConverged:
         return None
-    m = None
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        m = density(mid)
-        t = tau_of(m)
-        if abs(t - target) <= tol:
-            return m
-        if t < target:
-            lo = mid
-        else:
-            hi = mid
-    return m
+    return density(brentq(lambda w: tau_of(density(w)) - target, lo, hi, xtol=1e-13))
 
 
 def frank_d1_mp(x, dps=40):

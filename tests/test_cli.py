@@ -176,6 +176,14 @@ class TestVerifyCommands:
         assert code == 0
         assert float(out) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "theta", ["1e-300", "-1e-300", "1e-6", "-1e-6", "1e-3", "0.1", "-50", "300"]
+    )
+    def test_identity_near_independence(self, capsys, theta):
+        code, out, _ = run(capsys, "verify", "identity", f"--theta={theta}")
+        assert code == 0
+        assert float(out) <= 1e-12
+
     def test_liouville(self, capsys):
         code, out, _ = run(
             capsys, "verify", "liouville", "--theta", "3", "--n", "32"

@@ -188,6 +188,17 @@ class TestEvaluatorsAgainstMpmath:
         assert got[-1] == inv[-1] == 0.0
         assert np.max(np.abs(got[:-1] - inv[:-1]) / inv[:-1]) <= 1e-13
 
+    # theta s below the normal range: expm1(-theta s) is subnormal or 0
+    # (36.841361504 for 36.8413614879 at theta = 1e-300, s = 1e-16, and inf
+    # from s = 1e-24 on, when its log was taken)
+    @pytest.mark.parametrize("theta", [1e-300, -1e-300, 1e-200, -1e-200])
+    def test_generator_inverse_below_normal_range(self, theta):
+        s = np.exp(-np.random.default_rng(13).uniform(0.0, 690.0, 200))
+        dps = _dps(theta)
+        inv = np.array([frank_generator_inverse_mp(theta, x, dps) for x in s])
+        got = frank_generator_inverse(FrankParameter(theta), s)
+        assert np.max(np.abs(got - inv) / inv) <= 1e-13
+
     @pytest.mark.parametrize("theta", EVAL_THETAS)
     def test_sample_tau(self, theta):
         from scipy.stats import kendalltau

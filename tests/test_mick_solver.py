@@ -396,6 +396,15 @@ class TestSolveMick:
         assert report.state.multiplier == 0.0
         assert report.converged
 
+    @pytest.mark.parametrize("n", [5, 7, 8, 100])
+    def test_zero_tau_is_one_unprojected_evaluation(self, n):
+        report = solve_mick(SolverConfig(n=n, target_tau=0.0))
+        uniform = uniform_checkerboard(n).masses
+        assert np.array_equal(report.state.density.masses, uniform)
+        assert report.state.multiplier == 0.0 and report.converged
+        assert report.outer_iterations == 1 and report.inner_iterations_total == 0
+        assert abs(report.achieved_tau) <= 1e-16
+
     def test_converged_report_contract(self):
         cfg = SolverConfig(n=8, target_tau=0.307)
         report = solve_mick(cfg)
@@ -823,6 +832,20 @@ class TestNewtonFinish:
         with pytest.raises(NotConverged):
             sinkhorn_project(K)
 
+    # a tolerance below round-off: no line-search step lowers the L1 error,
+    # so the real finish stalls, and the sweeps after it reach the cap
+    def test_unreachable_tolerance_stalls(self):
+        K = np.exp(np.random.default_rng(0).normal(size=(8, 8)))
+        ones = np.ones(8)
+        P, c = mick_solver._newton_finish(K, ones, ones, 1e-20)
+        assert P is None and np.all(np.isfinite(c))
+
+    def test_unreachable_tolerance_reaches_sweep_cap(self, monkeypatch):
+        monkeypatch.setattr(mick_solver, "_SINKHORN_CAP", 50)
+        K = np.exp(np.random.default_rng(0).normal(size=(8, 8)))
+        with pytest.raises(NotConverged):
+            mick_solver._sinkhorn(K, 1e-20)
+
     @pytest.mark.parametrize("scale", [0.5, 1.0])
     def test_well_conditioned_kernel_never_switches(self, monkeypatch, scale):
         calls = self.count_newton(monkeypatch)
@@ -880,6 +903,15 @@ class TestInnerStepWork:
         with pytest.raises(DivergenceDetected):
             inner_fixed_point(
                 uniform_checkerboard(4), 1000.0, SolverConfig(n=4, target_tau=0.3)
+            )
+
+    def test_cell_mass_underflow_is_typed(self):
+        # at n = 2 the first kernel is [[1, e], [e, 1]], e = exp(-lambda / 2);
+        # for lambda in 1488.1...1490.2 e rounds to the smallest subnormal,
+        # which the projection halves to 0
+        with pytest.raises(DivergenceDetected, match="cell mass underflowed"):
+            inner_fixed_point(
+                uniform_checkerboard(2), 1489.2, SolverConfig(n=2, target_tau=0.3)
             )
 
 
@@ -948,15 +980,25 @@ def newton_counted_solve(n, tau):
 
 
 class TestBeyondCheckerboardSupport:
-    # theta(tau) > THETA_SUPPORT: the solve starts on the uniform
-    # board, and its projections only meet tol_p through the Newton finish
-    @pytest.mark.parametrize("n, tau", [(128, 0.99), (96, 0.988)])
+    # theta(tau) > THETA_SUPPORT: the solve starts on, and transports along,
+    # Frank boards clipped at THETA_SUPPORT, and its projections only meet
+    # tol_p through the Newton finish
+    @pytest.mark.parametrize("n, tau", [(128, 0.99), (96, 0.988), (64, 0.98)])
     def test_converges_at_default_config(self, n, tau):
         report, _ = newton_counted_solve(n, tau)
         assert report.converged
         assert abs(report.achieved_tau - tau) <= 1e-6
         assert math.isfinite(report.implied_theta)
         assert report.implied_theta > THETA_SUPPORT
+
+    # 36, 39 and 34 projections when these solves started on the uniform
+    # board and carried the previous masses untransported
+    @pytest.mark.parametrize(
+        "n, tau, cap", [(128, 0.99, 32), (96, 0.988, 37), (64, 0.98, 31)]
+    )
+    def test_projections_capped(self, n, tau, cap):
+        report, _ = newton_counted_solve(n, tau)
+        assert report.inner_iterations_total <= cap
 
     def test_newton_finish_runs_at_n128(self):
         _, sizes = newton_counted_solve(128, 0.99)
@@ -1026,10 +1068,13 @@ class TestFrankStart:
         assert np.array_equal(start, uniform_checkerboard(16).masses)
         assert lam == 2.0
 
-    def test_beyond_checkerboard_support_starts_uniform(self, monkeypatch):
+    def test_beyond_checkerboard_support_starts_on_clipped_board(self, monkeypatch):
         assert 4.0 * seed_multiplier(128, 0.99) > THETA_SUPPORT
-        start, _ = self.first_start(monkeypatch, SolverConfig(n=128, target_tau=0.99))
-        assert np.array_equal(start, uniform_checkerboard(128).masses)
+        for sign in (1.0, -1.0):
+            cfg = SolverConfig(n=128, target_tau=sign * 0.99)
+            start, _ = self.first_start(monkeypatch, cfg)
+            board = frank_checkerboard(FrankParameter(sign * THETA_SUPPORT), 128)
+            assert np.array_equal(start, board.masses)
 
     # the seed saves evaluations, it does not pick the answer: a search
     # from the continuum root theta(tau) / 4 reaches the same implied theta
@@ -1157,8 +1202,6 @@ class TestTransportedStart:
         new = CheckerboardDensity(2, np.array([[0.5, 1e-30], [1e-30, 0.5]]))
         # tiny * 4e-30 underflows to 0
         assert mick_solver._transport(p, old, new, MARGINAL_TOL) is p
-        assert mick_solver._transport(p, None, new, MARGINAL_TOL) is p
-        assert mick_solver._transport(p, old, None, MARGINAL_TOL) is p
 
     def test_path_across_checkerboard_support(self):
         # lambda goes from theta = 304, beyond the boards, to about 234
