@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .copula_core import CheckerboardDensity, FrankParameter, GridFunction, frank_cdf
-from .copula_core import _log1p_split
+from .copula_core import _check_support, _log1p_split
 from .errors import NonPositiveDensity
 
 
@@ -120,7 +120,7 @@ def frank_F_identity(p: FrankParameter, n: int) -> float:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    t = p.theta
+    t = _check_support(p)
     nodes = np.arange(n + 1) / n
     u = nodes[:, None]
     v = nodes[None, :]

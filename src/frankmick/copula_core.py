@@ -2,8 +2,8 @@
 and the Debye-function bridge between the dependence parameter theta and
 Kendall's tau.
 
-All evaluators are written in expm1/log1p style and accept |theta| up to
-``THETA_SUPPORT`` (= 300); larger parameters raise ThetaOutOfSupport.  The
+All evaluators are written in expm1/log1p style and evaluate theta as
+_check_support returns it, up to ``THETA_SUPPORT`` (= 300).  The
 density and the checkerboard work at |theta|, by C_{-theta}(u, v) = u -
 C_theta(u, 1 - v).  The tau-theta bridge needs no bound of its own (its
 inversion climbs from 9|tau| by Newton steps that tau's concavity keeps
@@ -49,12 +49,21 @@ class FrankParameter:
             raise ValueError("theta must be finite and nonzero")
 
 
-def _check_support(p: FrankParameter):
-    if abs(p.theta) > THETA_SUPPORT:
+def _check_support(p: FrankParameter) -> float:
+    """The theta at which the closed forms evaluate p.
+
+    They accept 0 < |theta| <= THETA_SUPPORT and raise ThetaOutOfSupport
+    past the upper end.  At the lower end |theta| is lifted to 1e-300: the
+    copula departs from independence by O(theta), so it is independence to
+    round-off there and below, and theta / n stays a normal float.
+    """
+    t = p.theta
+    if abs(t) > THETA_SUPPORT:
         raise ThetaOutOfSupport(
             f"|theta| <= {THETA_SUPPORT} is the supported range for "
-            f"closed-form evaluation, got {p.theta}"
+            f"closed-form evaluation, got {t}"
         )
+    return math.copysign(max(abs(t), 1e-300), t)
 
 
 def _check_unit(x, name):
@@ -182,10 +191,9 @@ def frank_cdf(p: FrankParameter, u, v):
 
     Accepts scalars or broadcasting arrays in [0, 1].
     """
-    _check_support(p)
+    t = _check_support(p)
     u = _check_unit(u, "u")
     v = _check_unit(v, "v")
-    t = p.theta
     x = np.expm1(-t * u) / np.expm1(-t) * np.expm1(-t * v)  # no underflow at tiny t
     bracket = _bracket(t, np.exp(-t * u), np.exp(-t * v), v)  # (1 + x)(1 - e^{-t})
     return -_log1p_split(x, np.log(bracket / _em(t))) / t
@@ -193,11 +201,11 @@ def frank_cdf(p: FrankParameter, u, v):
 
 def frank_density(p: FrankParameter, u, v):
     """Frank copula density c(u,v); strictly positive on [0,1]^2."""
-    _check_support(p)
+    theta = _check_support(p)
     u = _check_unit(u, "u")
     v = _check_unit(v, "v")
-    t = abs(p.theta)  # c_{-theta}(u, v) = c_theta(u, 1 - v)
-    v = v if p.theta > 0.0 else 1.0 - v
+    t = abs(theta)  # c_{-theta}(u, v) = c_theta(u, 1 - v)
+    v = v if theta > 0.0 else 1.0 - v
     eu = np.exp(-t * u)
     ev = np.exp(-t * v)
     b = _bracket(t, eu, ev, v)  # divided into each small factor: no 0/0 at tiny t
@@ -206,22 +214,24 @@ def frank_density(p: FrankParameter, u, v):
 
 def frank_generator(p: FrankParameter, s):
     """psi(s) = -(1/theta) ln(1 - (1-e^{-theta}) e^{-s}) for s >= 0."""
-    _check_support(p)
+    t = _check_support(p)
     s = np.asarray(s, dtype=float)
     if np.any(s < 0.0):
         raise ValueError("generator argument must be >= 0")
-    t = p.theta
-    x = np.expm1(-t) * np.exp(-s)  # 1 + x = (1 - e^{-s}) + e^{-(theta + s)}
-    return -_log1p_split(x, np.log(_em(s) + np.exp(-(t + s)))) / t
+    k, e = np.expm1(-t), np.exp(-s)
+    x = k * e  # 1 + x = (1 - e^{-s}) + e^{-(theta + s)}
+    # a subnormal x has lost digits: log1p(x) = x there, so psi = -(k / t) e
+    sub = np.abs(x) < np.finfo(float).tiny
+    psi = -_log1p_split(np.where(sub, 0.0, x), np.log(_em(s) + np.exp(-(t + s)))) / t
+    return psi - np.where(sub, k / t * e, 0.0)
 
 
 def frank_generator_inverse(p: FrankParameter, s):
     """psi^{-1}(s) = -ln((e^{-theta s} - 1)/(e^{-theta} - 1)) for s in (0, 1]."""
-    _check_support(p)
+    t = _check_support(p)
     s = np.asarray(s, dtype=float)
     if np.any(s <= 0.0) or np.any(s > 1.0):
         raise ValueError("generator inverse needs s in (0, 1]")
-    t = p.theta
     k, a = np.expm1(-t), np.expm1(-t * s)
     x = -np.exp(-t * s) * np.expm1(-t * (1.0 - s)) / k  # a/k - 1
     # a/k may underflow: log|a| - log|k|, with |a| = |t| s where a is subnormal
@@ -236,10 +246,9 @@ def frank_sample(p: FrankParameter, count: int, seed: int) -> np.ndarray:
     u is uniform; v solves dC/du = w in closed form, so the result is exact
     (no root finding) and fully determined by the seed.
     """
-    _check_support(p)
+    t = _check_support(p)
     if count < 1:
         raise ValueError("count must be >= 1")
-    t = p.theta
     rng = np.random.default_rng(seed)
     u = rng.random(count)
     w = rng.random(count)
@@ -402,8 +411,8 @@ def frank_checkerboard(p: FrankParameter, n: int) -> CheckerboardDensity:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_support(p)
-    t = abs(p.theta)
+    theta = _check_support(p)
+    t = abs(theta)
     h = (n + 1) // 2
     nodes = np.arange(n + 1) / n
     e = np.exp(-t * nodes)
@@ -424,7 +433,7 @@ def frank_checkerboard(p: FrankParameter, n: int) -> CheckerboardDensity:
     masses[h:] = masses[: n - h][::-1, ::-1]
     if n % 2:
         masses[h - 1, h:] = masses[h - 1, : n - h][::-1]
-    if p.theta < 0.0:
+    if theta < 0.0:
         masses = masses[:, ::-1]
     return CheckerboardDensity(n, masses)
 

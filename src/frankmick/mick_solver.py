@@ -150,24 +150,16 @@ def sinkhorn_project(kernel) -> CheckerboardDensity:
 def _sinkhorn(K, tol):
     """Masses D_r K D_c whose row and column sums are within tol of 1/n.
 
-    Each sweep sets r, then c, so the columns are exact and the row
-    residual max|r * (K c) - 1/n| is read off the ``K @ c`` product the
-    next sweep needs anyway; P is built and both marginals checked
-    (_scaled) only once that residual is within tol.  A kernel that already
-    carries its column scaling (a warm start) therefore needs few sweeps.
-
-    When the sweeps contract slowly, the projection switches once to a
-    Newton finish on the log-scalings (_newton_finish) from the current r
-    and c, with the same exit test on both marginals.  It switches when the
-    last sweep's rate, ratio = resid / prev_resid, predicts that the sweeps
-    still need more than budget = max(12, n / 2) sweeps to reach tol
-    (resid * ratio^budget > tol), or when the residual did not shrink.
-    The budget is about what one Newton finish costs: a step
-    (_newton_direction) costs about 4, 6, 12, 30 and 70 sweeps at n = 16,
-    32, 64, 128 and 256, and a finish from a warm start takes about two
-    steps.  If its line search stalls first, the sweeps resume from its
-    last scalings and never switch again.  Raises NotConverged after
-    _SINKHORN_CAP sweeps.
+    Each sweep sets r, then c, so the columns are exact; the sweeps stop on
+    the row residual max|r (K c) - 1/n|, and P and both of its marginals
+    are checked (_scaled) only then.  The projection switches once to
+    _newton_finish from the current r and c when the last sweep's rate,
+    ratio = resid / prev_resid, predicts more than budget = max(12, n / 2)
+    further sweeps (resid * ratio^budget > tol), or when ratio >= 1, which
+    also keeps ratio^budget finite.  When the finish hands back its column
+    scaling, the sweeps resume from it and never switch again.  Raises
+    NotConverged after _SINKHORN_CAP sweeps.  README's notes on the solver
+    give the costs behind the budget.
     """
     n = K.shape[0]
     target = 1.0 / n
@@ -235,9 +227,9 @@ def _newton_finish(K, r, c, tol):
 
     Returns (P, c) with P = D_r K D_c once both marginals are within tol,
     or (None, c) with the last accepted column scaling when the line
-    search stalls or a step's system is singular.  Each step is
-    _newton_direction, with c[0] held fixed as the gauge, halved until the
-    L1 marginal error falls.
+    search stalls, a step's system is singular, or _NEWTON_STEPS steps did
+    not reach tol.  Each step is _newton_direction, with c[0] held fixed
+    as the gauge, halved until the L1 marginal error falls.
     """
     P, sums, miss = _scaled(K, r, c)
     for _ in range(_NEWTON_STEPS):
@@ -249,8 +241,10 @@ def _newton_finish(K, r, c, tol):
             return None, c
         err, step = miss.sum(), 1.0
         for _ in range(_NEWTON_STEPS):
-            r_t, c_t = r * np.exp(step * dx), c * np.exp(step * dy)
-            P_t, sums_t, miss_t = _scaled(K, r_t, c_t)
+            # a trial that overflows has an inf or NaN error and is halved
+            with np.errstate(over="ignore", invalid="ignore"):
+                r_t, c_t = r * np.exp(step * dx), c * np.exp(step * dy)
+                P_t, sums_t, miss_t = _scaled(K, r_t, c_t)
             if miss_t.sum() < err:
                 break
             step *= 0.5
@@ -297,26 +291,24 @@ def inner_fixed_point(
 ) -> SolverReport:
     """Damped iteration p <- Sinkhorn(exp(2 lambda_d S(p))), Anderson-accelerated.
 
-    The iterate is a log-kernel L; Sinkhorn ignores its row and column
-    terms, so only center(L) matters.  Iterate zero is the start's masses p
-    with L = log p; iterate k > 0 is p = Sinkhorn(exp(L + beta)) to tol_p =
-    _projection_tol(lambda_d, cfg), warm-started by beta = log p[0, :] -
-    L[0, :] of the last iterate.  Each iterate is evaluated once: S(p), tau
-    = sum p S(p) and the residual R = center(log p - 2 lambda_d S(p)).  As
-    log p is L plus row and column terms, the damped map center((1 - d)
-    log p + d * 2 lambda_d S(p)) is center(L) - d R, so the step takes G(L)
-    = L + F with F = -d R, and the next L is G(L) minus the least-squares
-    combination of the last _ANDERSON_MEMORY differences of G and of F
-    (type-II Anderson, Walker & Ni 2011), iterate zero's pair included.
+    The iterate is a log-kernel L (README's notes on the solver derive the
+    step).  Iterate zero is the start's masses p with L = log p; iterate
+    k > 0 is p = Sinkhorn(exp(L + beta)) to tol_p = _projection_tol(lambda_d,
+    cfg), warm-started by the column scaling beta = log p[0, :] - L[0, :]
+    of the last iterate.  Each iterate is evaluated once: S(p), tau = sum p
+    S(p) and the residual R = center(log p - 2 lambda_d S(p)).  The step is
+    G = L + F with F = -cfg.damping * R, less the least-squares combination
+    of the last _ANDERSON_MEMORY differences of G and of F (iterate zero's
+    pair included).
+
     Stops at the first iterate with max|R| within tol_in = min(cfg.tol_fix,
-    cfg.tol_tau), or after cfg.max_inner projections, so a start already
-    within tol_in comes back unprojected (solve_mick's starts are exact
-    boards or projected to tol_p).  With off_target_exit it also stops at
-    the first iterate whose tau misses the target, miss = |tau -
-    cfg.target_tau| > cfg.tol_tau, while max|R| <= _FORCING * miss: the
-    outer search cannot accept that tau and needs only its side of the
-    target and its first digits (the forcing term of inexact Newton
-    methods, Dembo, Eisenstat & Steihaug 1982).
+    cfg.tol_tau), or after cfg.max_inner projections.  A start within tol_in
+    therefore comes back unprojected, so a start must be as exact as a
+    projected iterate: solve_mick's starts are exact boards or projected to
+    tol_p.  With off_target_exit it also stops at the first iterate whose
+    tau misses the target, miss = |tau - cfg.target_tau| > cfg.tol_tau,
+    while max|R| <= _FORCING * miss.  Raises DivergenceDetected for a start
+    with a zero cell, or when a kernel or a projected cell underflows.
 
     Returns the SolverReport of the last iterate: its masses, validated
     once, with the row and column means of log p - 2 lambda_d S(p), less
@@ -397,9 +389,9 @@ def _frank_board(lam: float, n: int) -> CheckerboardDensity:
 
 def _transport(p: CheckerboardDensity, old, new, tol):
     """Sinkhorn(p * new / old) to tol: p carried from the multiplier of the
-    _frank_board old to that of new (see solve_mick).  Returns p itself
-    when a kernel cell underflows to 0 (the clipped boards' cells are
-    normal floats, so their ratio stays finite)."""
+    _frank_board old to that of new (README's notes on the solver).
+    Returns p itself when a kernel cell underflows to 0 (the clipped
+    boards' cells are normal floats, so their ratio stays finite)."""
     kernel = p.masses * (new.masses / old.masses)
     if not kernel.min() > 0.0:
         return p
@@ -419,45 +411,27 @@ def solve_mick(cfg: SolverConfig) -> SolverReport:
     """Solve the discrete minimum-information problem for cfg.target_tau.
 
     Deterministic given the config.  Tau = 0 is one evaluation: the
-    inner_fixed_point of the uniform board at lambda_d = 0, which that board
-    meets unprojected; a target beyond the grid's attainable range raises
-    TauInfeasible.  Otherwise the multiplier search starts at the
-    closed-form discrete answer lambda_0 = (theta + 2 theta / (9 tau'(theta)
-    n^2)) / 4, theta = theta(tau) (or at cfg.multiplier_init): the Frank
-    checkerboard's tau falls 2 theta / (9 n^2) + O(n^-4) short of
-    tau(theta), so the discrete solution's implied theta lies that deficit
-    over tau' above theta.  It steps along the Frank bridge's slope
-    dtau/dlambda = 4 tau'(4 lambda_0), then by secants through the last
-    two evaluations, each step capped at max(0.25, |lambda| / 2); once the
-    target is bracketed, a guess outside the bracket becomes its midpoint,
-    and a non-positive slope falls back to a capped step toward the
-    target.  Each evaluation is an
-    inner_fixed_point with the off-target exit and yields its own report:
-    an evaluation whose tau misses the target by miss > cfg.tol_tau stops
-    once its residual is within _FORCING * miss, so the search's early,
-    far evaluations stop well short of tol_in.  The search returns the
-    last one, within cfg.tol_tau of the target and so never stopped early,
-    with the search's total outer and inner counts.  Running past
-    |lambda| = 200 unbracketed raises BracketFailure with the range of the
-    evaluations' tau; using up cfg.max_outer evaluations raises
-    NoConvergence carrying the report of the first evaluation closest to
-    the target, with the same totals; that evaluation may have stopped at
-    the off-target exit.
+    inner_fixed_point of the uniform board at lambda_d = 0.  A |tau| at or
+    beyond tau_max_for_grid(cfg.n) raises TauInfeasible before any work.
+    Otherwise the search over lambda_d starts at cfg.multiplier_init, from
+    the uniform board, or with "auto" at the closed-form discrete answer
+    lambda_0 (README's notes on the solver), from _frank_board(lambda_0).
+    Its first step follows the Frank bridge's slope dtau/dlambda = 4
+    tau'(4 lambda), later steps the secant through the last two
+    evaluations, each capped at max(0.25, |lambda| / 2); once the target is
+    bracketed, a guess outside the bracket becomes its midpoint, and a
+    non-positive slope falls back to a capped step toward the target.  Each
+    evaluation is an inner_fixed_point with the off-target exit, started
+    from the previous evaluation's masses carried to the new multiplier
+    along the Frank boards (_transport).
 
-    With multiplier_init "auto" the first evaluation starts from the Frank
-    checkerboard F(4 lambda_0) -- the paper's answer, within O(n^-2) of the
-    discrete one -- with 4 lambda_0 clipped to +-THETA_SUPPORT
-    (_frank_board); with an explicit multiplier_init, from the uniform
-    board.  On fine grids that board often meets tol_in itself and is
-    accepted unprojected; its implied theta is then the seed, right to within
-    tol_tau / tau'.  Each later evaluation, at lambda', starts from the
-    previous one's masses p at lambda transported along the Frank boards:
-    Sinkhorn(p F(4 lambda') / F(4 lambda)) to the next evaluation's tol_p,
-    F(theta) the Frank checkerboard with theta clipped as above and F(0)
-    the uniform board (_transport).  As p - F(4 lambda) is O(n^-2), this
-    start misses the solution at lambda' by O(dlambda n^-2 + dlambda^2),
-    not O(dlambda).  When the kernel underflows, it starts from p.  Each
-    evaluation builds one Frank board and keeps it for the next.
+    Returns the first evaluation within cfg.tol_tau of the target, which
+    therefore never stopped early, with the search's total outer and inner
+    counts.  Raises BracketFailure with the range of the evaluations' tau
+    once |lambda| passes 200 unbracketed, and NoConvergence after
+    cfg.max_outer evaluations, carrying the first evaluation closest to the
+    target, with the same totals; that evaluation may have stopped at the
+    off-target exit.
     """
     target = cfg.target_tau
     if target == 0.0:

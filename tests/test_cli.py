@@ -59,6 +59,15 @@ class TestFrankCommands:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "ThetaOutOfSupport"
 
+    def test_eval_below_the_theta_floor(self, capsys):
+        # the smallest subnormal theta is independence: C(0.5, 0.3) = 0.15
+        # (it printed -0)
+        code, out, _ = run(
+            capsys, "frank", "eval", "--theta", "5e-324", "--u", "0.5", "--v", "0.3"
+        )
+        assert code == 0
+        assert float(out) == 0.15
+
     def test_checkerboard_json_and_csv(self, capsys, tmp_path):
         jpath = tmp_path / "board.json"
         code, out, _ = run(

@@ -152,13 +152,16 @@ PSI_INV_ARGS = [1e-300, 1e-12, 1e-6, 0.01, 0.3, 0.5, 0.9, 1.0 - 1e-9, 1.0]
 # the density's factors are each formed without a product of two tiny terms
 TINY_THETAS = [s * m for m in (1e-12, 1e-100, 1e-300) for s in (1.0, -1.0)]
 CDF_THETAS = EVAL_THETAS + TINY_THETAS
+# below |theta| = 1e-300, down to the smallest subnormal, where the closed
+# forms evaluate at +-1e-300
+BELOW_FLOOR = [s * m for m in (1e-305, 1e-310, 1e-320, 5e-324) for s in (1.0, -1.0)]
 
 
 class TestEvaluatorsAgainstMpmath:
     """One support bound for every closed form: each evaluator holds its
     accuracy up to |theta| = THETA_SUPPORT."""
 
-    @pytest.mark.parametrize("theta", EVAL_THETAS + [1e-300, -1e-300])
+    @pytest.mark.parametrize("theta", EVAL_THETAS + [1e-300, -1e-300] + BELOW_FLOOR)
     def test_density(self, theta):
         rng = np.random.default_rng(11)
         u, v = rng.random(300), rng.random(300)
@@ -167,7 +170,7 @@ class TestEvaluatorsAgainstMpmath:
         assert np.all(ref > 0.0)
         assert np.max(np.abs(got - ref) / ref) <= 1e-13
 
-    @pytest.mark.parametrize("theta", CDF_THETAS)
+    @pytest.mark.parametrize("theta", CDF_THETAS + BELOW_FLOOR)
     def test_cdf(self, theta):
         rng = np.random.default_rng(12)
         u, v = rng.random(200), rng.random(200)
@@ -176,7 +179,7 @@ class TestEvaluatorsAgainstMpmath:
 
     # 10 and 30 as well: a plain log of the inverse's ratio loses 1e-4
     # relative at theta = 10
-    @pytest.mark.parametrize("theta", EVAL_THETAS + [10.0, 30.0])
+    @pytest.mark.parametrize("theta", EVAL_THETAS + [10.0, 30.0] + BELOW_FLOOR)
     def test_generator_and_inverse(self, theta):
         p = FrankParameter(theta)
         dps = _dps(theta)
@@ -191,7 +194,7 @@ class TestEvaluatorsAgainstMpmath:
     # theta s below the normal range: expm1(-theta s) is subnormal or 0
     # (36.841361504 for 36.8413614879 at theta = 1e-300, s = 1e-16, and inf
     # from s = 1e-24 on, when its log was taken)
-    @pytest.mark.parametrize("theta", [1e-300, -1e-300, 1e-200, -1e-200])
+    @pytest.mark.parametrize("theta", [1e-300, -1e-300, 1e-200, -1e-200] + BELOW_FLOOR)
     def test_generator_inverse_below_normal_range(self, theta):
         s = np.exp(-np.random.default_rng(13).uniform(0.0, 690.0, 200))
         dps = _dps(theta)

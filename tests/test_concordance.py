@@ -218,7 +218,7 @@ class TestFrankFIdentity:
     @pytest.mark.parametrize(
         "theta",
         [3.0, -3.0, 2.0, -2.0, 1e-300, -1e-300, 1e-6, -1e-6, 1e-3, 0.1, 50.0, -50.0,
-         300.0, -300.0],
+         300.0, -300.0, 5e-324, -5e-324],
     )
     def test_identity_holds(self, theta):
         assert frank_F_identity(FrankParameter(theta), 50) <= 1e-15

@@ -405,6 +405,14 @@ class TestCheckerboard:
         # exchangeable as well, but only to round-off (7.5e-14 measured)
         assert np.max(np.abs(m - m.T) / m) <= 2e-13
 
+    # t / n is subnormal at n = 1024 below |theta| ~ 2.3e-305, unless theta
+    # is lifted to 1e-300 (the board was 1.0e-11 off at 1e-307)
+    @pytest.mark.parametrize("theta", [1e-307, -1e-307, 5e-324, -5e-324])
+    def test_independence_below_the_floor(self, theta):
+        n = 1024
+        m = frank_checkerboard(FrankParameter(theta), n).masses
+        assert np.max(np.abs(m * n**2 - 1.0)) <= 1e-15
+
     def test_matches_cdf_second_differences(self):
         p = FrankParameter(3.0)
         board = frank_checkerboard(p, 4)

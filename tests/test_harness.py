@@ -63,6 +63,15 @@ class TestConvergenceSweep:
         )
         assert all(e <= 1e-9 for e in result.sup_errors)
 
+    def test_subnormal_tau_solves_every_grid(self):
+        # theta(1e-320) is subnormal: its boards are those at theta = 1e-300,
+        # independence to round-off (the sweep raised ValueError)
+        result = convergence_sweep(
+            1e-320, [4, 8], SolverConfig(n=4, target_tau=1e-320)
+        )
+        assert result.grid_sizes == [4, 8] and not result.failures
+        assert all(e <= 1e-15 for e in result.sup_errors)
+
     def test_mirror_symmetry(self, sweep_0307):
         mirrored = convergence_sweep(
             -0.307, [4, 8, 16], SolverConfig(n=4, target_tau=-0.307, tol_tau=1e-8)
