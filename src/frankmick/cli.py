@@ -176,7 +176,7 @@ def _run(args) -> int:
                 f"ratio: {s1 / s2:.3f}"
             )
         elif args.command == "identity":
-            gap = conc.frank_F_identity(param, args.n)
+            gap = cc.frank_F_identity(param, args.n)
             print(f"{gap:.3e}")
             if gap > 1e-12:
                 return 1

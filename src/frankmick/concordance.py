@@ -7,9 +7,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .copula_core import CheckerboardDensity, FrankParameter, GridFunction, frank_cdf
-from .copula_core import _check_support, _log1p_split
-from .errors import NonPositiveDensity
+from .copula_core import CheckerboardDensity, GridFunction
+from .errors import NonPositiveDensity, _require_size
 
 
 #: from this many rows on, the running sum down the columns adds row by
@@ -86,8 +85,7 @@ def liouville_residual(density_eval, constant: float, n: int) -> GridFunction:
     strictly positive wherever the 4-point mixed stencil (step h = 1/n)
     touches.  Boundary nodes of the returned grid are set to 0.
     """
-    if n < 8:
-        raise ValueError("n must be >= 8")
+    _require_size(n, "n", least=8)
     h = 1.0 / n
     nodes = np.arange(1, n) / n
     u = nodes[:, None]
@@ -108,25 +106,3 @@ def liouville_residual(density_eval, constant: float, n: int) -> GridFunction:
     resid = np.zeros((n + 1, n + 1))
     resid[1:n, 1:n] = mixed - constant * density_eval(u, v)
     return GridFunction(n, resid)
-
-
-def frank_F_identity(p: FrankParameter, n: int) -> float:
-    """Sup-norm gap between the Frank cdf and -(1/theta) log F on the grid.
-
-    F(u,v) = (e^{-t} - e^{-tv} - e^{-tu} + e^{-t(u+v)}) / (e^{-t} - 1)
-    is the bilinear-in-exponentials form whose log reproduces the cdf
-    exactly; this returns the largest node deviation on an (n+1)^2 grid.
-    log F is log1p(F - 1), with F - 1 formed as in frank_cdf, wherever F >= 1/2.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    t = _check_support(p)
-    nodes = np.arange(n + 1) / n
-    u = nodes[:, None]
-    v = nodes[None, :]
-    x = np.expm1(-t * u) / np.expm1(-t) * np.expm1(-t * v)  # F - 1
-    F = (
-        np.exp(-t) - np.exp(-t * v) - np.exp(-t * u) + np.exp(-t * (u + v))
-    ) / np.expm1(-t)
-    recovered = -_log1p_split(x, np.log(np.where(x < -0.5, F, 1.0))) / t
-    return float(np.max(np.abs(frank_cdf(p, u, v) - recovered)))

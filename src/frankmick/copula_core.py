@@ -28,7 +28,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NonInvertible, ThetaOutOfSupport, ZeroTau, _require_fields
+from .errors import NonInvertible, ThetaOutOfSupport, ZeroTau
+from .errors import _require_fields, _require_size
 
 #: largest |theta| the evaluators accept: the smallest checkerboard cells,
 #: about e^{-2 |theta|}, stay normal floats up to about 350.
@@ -102,6 +103,7 @@ class CheckerboardDensity:
     masses: np.ndarray
 
     def __post_init__(self):
+        _require_size(self.n, "n")
         m = np.asarray(self.masses, dtype=float)
         if m.shape != (self.n, self.n):
             raise ValueError(f"masses must be {self.n}x{self.n}, got {m.shape}")
@@ -132,8 +134,7 @@ class CheckerboardDensity:
     def _from_record(cls, obj: dict) -> "CheckerboardDensity":
         _require_fields(obj, ("n", "masses"), "board record")
         n = obj["n"]
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise ValueError(f"board record field 'n' is not an integer: {n!r}")
+        _require_size(n, "board record field 'n'")
         try:
             return cls(n, np.array(obj["masses"], dtype=float).reshape(n, n))
         except TypeError:
@@ -162,6 +163,7 @@ class CheckerboardDensity:
 
 def uniform_checkerboard(n: int) -> CheckerboardDensity:
     """Independence copula on an n x n grid (all cells 1/n^2)."""
+    _require_size(n, "n")
     return CheckerboardDensity(n, np.full((n, n), 1.0 / (n * n)))
 
 
@@ -173,6 +175,7 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
+        _require_size(self.n, "n")
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.n + 1, self.n + 1):
             raise ValueError(
@@ -247,8 +250,7 @@ def frank_sample(p: FrankParameter, count: int, seed: int) -> np.ndarray:
     (no root finding) and fully determined by the seed.
     """
     t = _check_support(p)
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    _require_size(count, "count")
     rng = np.random.default_rng(seed)
     u = rng.random(count)
     w = rng.random(count)
@@ -409,8 +411,7 @@ def frank_checkerboard(p: FrankParameter, n: int) -> CheckerboardDensity:
     top ceil(n/2) rows are evaluated, and the board is exactly equal to
     itself turned half a turn.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _require_size(n, "n")
     theta = _check_support(p)
     t = abs(theta)
     h = (n + 1) // 2
@@ -436,6 +437,34 @@ def frank_checkerboard(p: FrankParameter, n: int) -> CheckerboardDensity:
     if theta < 0.0:
         masses = masses[:, ::-1]
     return CheckerboardDensity(n, masses)
+
+
+def _checkerboard_at(theta: float, n: int) -> CheckerboardDensity:
+    """The Frank checkerboard at theta, and the uniform board at theta = 0."""
+    if theta == 0.0:
+        return uniform_checkerboard(n)
+    return frank_checkerboard(FrankParameter(theta), n)
+
+
+def frank_F_identity(p: FrankParameter, n: int) -> float:
+    """Sup-norm gap between the Frank cdf and -(1/theta) log F on the grid.
+
+    F(u,v) = (e^{-t} - e^{-tv} - e^{-tu} + e^{-t(u+v)}) / (e^{-t} - 1)
+    is the bilinear-in-exponentials form whose log reproduces the cdf
+    exactly; this returns the largest node deviation on an (n+1)^2 grid.
+    log F is log1p(F - 1), with F - 1 formed as in frank_cdf, wherever F >= 1/2.
+    """
+    _require_size(n, "n", least=2)
+    t = _check_support(p)
+    nodes = np.arange(n + 1) / n
+    u = nodes[:, None]
+    v = nodes[None, :]
+    x = np.expm1(-t * u) / np.expm1(-t) * np.expm1(-t * v)  # F - 1
+    F = (
+        np.exp(-t) - np.exp(-t * v) - np.exp(-t * u) + np.exp(-t * (u + v))
+    ) / np.expm1(-t)
+    recovered = -_log1p_split(x, np.log(np.where(x < -0.5, F, 1.0))) / t
+    return float(np.max(np.abs(frank_cdf(p, u, v) - recovered)))
 
 
 def checkerboard_cdf_eval(c: CheckerboardDensity, u: float, v: float) -> float:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and a check of JSON records."""
+"""Exception types shared across the package, and checks of records and sizes."""
+
+import numbers
 
 
 class FrankMickError(Exception):
@@ -70,3 +72,10 @@ def _require_fields(obj, names, what):
     for name in names:
         if not isinstance(obj, dict) or name not in obj:
             raise ValueError(f"{what} has no field {name!r}")
+
+
+def _require_size(value, name, least=1):
+    """Raise ValueError naming name unless value is an integer >= least;
+    numpy integers pass, bool and float do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")

@@ -9,12 +9,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .copula_core import (
-    FrankParameter,
-    frank_checkerboard,
-    theta_from_tau,
-    uniform_checkerboard,
-)
+from .copula_core import FrankParameter, frank_checkerboard, theta_from_tau
+from .copula_core import _checkerboard_at
 from .errors import FrankMickError, GridMismatch
 from .mick_solver import SolverConfig, SolverReport, solve_mick
 
@@ -61,10 +57,7 @@ def convergence_sweep(
     sizes, errors, reports, failures = [], [], [], {}
     for n in grid_sizes:
         try:
-            if tau == 0.0:
-                ref = uniform_checkerboard(n)
-            else:
-                ref = frank_checkerboard(FrankParameter(theta), n)
+            ref = _checkerboard_at(theta, n)
             report = solve_mick(replace(cfg_template, n=n, target_tau=tau))
             err = sup_mass_difference(report.state.density, ref)
         except FrankMickError as exc:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -30,9 +29,8 @@ from .copula_core import (
     MARGINAL_TOL,
     THETA_SUPPORT,
     CheckerboardDensity,
-    FrankParameter,
+    _checkerboard_at,
     _tau_slope,
-    frank_checkerboard,
     theta_from_tau,
     uniform_checkerboard,
 )
@@ -44,6 +42,7 @@ from .errors import (
     NotConverged,
     TauInfeasible,
     _require_fields,
+    _require_size,
 )
 
 _SINKHORN_CAP = 50_000
@@ -66,17 +65,11 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("n", "max_inner", "max_outer"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+            _require_size(getattr(self, name), name)
         if not -1.0 < self.target_tau < 1.0:
             raise ValueError("target_tau must lie in (-1, 1)")
         if not (0.0 < self.tol_tau < math.inf and 0.0 < self.tol_fix < math.inf):
             raise ValueError("tolerances must be positive and finite")
-        if self.max_inner < 1 or self.max_outer < 1:
-            raise ValueError("max_inner and max_outer must be >= 1")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
         if self.multiplier_init != "auto":
@@ -136,12 +129,13 @@ def sinkhorn_project(kernel) -> CheckerboardDensity:
     Returns D_r . kernel . D_c; cross-ratios of the kernel are preserved
     exactly.  The masses are those of _sinkhorn at tolerance MARGINAL_TOL;
     the solver calls _sinkhorn itself, at each evaluation's tol_p.  Raises
-    ValueError for a kernel that is not square, finite and positive, and
-    NotConverged for badly scaled kernels.
+    ValueError for a kernel that is not square, nonempty, finite and
+    positive, and NotConverged for badly scaled kernels.
     """
     K = np.asarray(kernel, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError("kernel must be a square matrix")
+    _require_size(K.shape[0], "side of the square kernel")
     if not np.all(np.isfinite(K)) or np.any(K <= 0.0):
         raise ValueError("kernel entries must be finite and > 0")
     return CheckerboardDensity(K.shape[0], _sinkhorn(K, MARGINAL_TOL))
@@ -375,16 +369,14 @@ def tau_max_for_grid(n: int) -> float:
 
     Its n cells of mass 1/n each see S_ii = (n - 1) / n, so tau = (n - 1) / n.
     """
+    _require_size(n, "n")
     return (n - 1) / n
 
 
 def _frank_board(lam: float, n: int) -> CheckerboardDensity:
     """F(clip(4 lam)): the Frank checkerboard at theta = 4 lam clipped to
     +-THETA_SUPPORT, and the uniform board at lam = 0."""
-    theta = min(max(4.0 * lam, -THETA_SUPPORT), THETA_SUPPORT)
-    if theta == 0.0:
-        return uniform_checkerboard(n)
-    return frank_checkerboard(FrankParameter(theta), n)
+    return _checkerboard_at(min(max(4.0 * lam, -THETA_SUPPORT), THETA_SUPPORT), n)
 
 
 def _transport(p: CheckerboardDensity, old, new, tol):

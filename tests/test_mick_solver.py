@@ -23,7 +23,7 @@ from frankmick import (
     uniform_checkerboard,
 )
 from frankmick.concordance import _potential_from_masses
-from frankmick import mick_solver
+from frankmick import copula_core, mick_solver
 from frankmick.copula_core import MARGINAL_TOL, THETA_SUPPORT
 from frankmick.errors import (
     BracketFailure,
@@ -807,6 +807,21 @@ class TestNewtonFinish:
         assert len(calls) == 1
         assert np.array_equal(P, self.sweeps_only(K))
 
+    def test_real_stall_resumes_the_sweeps(self, monkeypatch):
+        # log K spans -181...94: the real finish stalls once and hands back
+        # its column scaling, and the sweeps resumed from it converge
+        calls = record_calls(monkeypatch, "_newton_finish")
+        K = np.exp(60 * np.random.default_rng(26).normal(size=(4, 4)))
+        P = sinkhorn_project(K).masses
+        assert len(calls) == 1 and calls[0][1][0] is None
+        assert np.max(np.abs(P.sum(axis=0) - 0.25)) <= MARGINAL_TOL
+        assert np.max(np.abs(P.sum(axis=1) - 0.25)) <= MARGINAL_TOL
+        # D_r K D_c keeps the kernel's cross-ratios
+        for i, j, k, l in [(0, 1, 2, 3), (3, 0, 1, 2), (1, 3, 0, 2)]:
+            got = P[i, j] * P[k, l] / (P[i, l] * P[k, j])
+            want = K[i, j] * K[k, l] / (K[i, l] * K[k, j])
+            assert got == pytest.approx(want, rel=1e-10)
+
     def test_sweep_cap_raises_not_converged(self, monkeypatch):
         # plain sweeps on this kernel need between 200 and 400 to reach
         # MARGINAL_TOL; with Newton stalled at once, 50 cannot
@@ -1148,7 +1163,7 @@ class TestTransportedStart:
 
     @pytest.mark.parametrize("init", ["auto", 0.5])
     def test_one_frank_board_per_evaluation(self, monkeypatch, init):
-        calls = record_calls(monkeypatch, "frank_checkerboard")
+        calls = record_calls(monkeypatch, "frank_checkerboard", copula_core)
         report = solve_mick(SolverConfig(n=16, target_tau=0.6, multiplier_init=init))
         assert report.outer_iterations >= 3
         assert len(calls) <= report.outer_iterations
