@@ -103,7 +103,7 @@ class CheckerboardDensity:
     masses: np.ndarray
 
     def __post_init__(self):
-        _require_size(self.n, "n")
+        object.__setattr__(self, "n", _require_size(self.n, "n"))
         m = np.asarray(self.masses, dtype=float)
         if m.shape != (self.n, self.n):
             raise ValueError(f"masses must be {self.n}x{self.n}, got {m.shape}")
@@ -175,7 +175,7 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        _require_size(self.n, "n")
+        object.__setattr__(self, "n", _require_size(self.n, "n"))
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.n + 1, self.n + 1):
             raise ValueError(

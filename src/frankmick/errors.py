@@ -75,7 +75,8 @@ def _require_fields(obj, names, what):
 
 
 def _require_size(value, name, least=1):
-    """Raise ValueError naming name unless value is an integer >= least;
-    numpy integers pass, bool and float do not."""
+    """value as a Python int; raise ValueError naming name unless value is
+    an integer >= least: numpy integers pass, bool and float do not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
+    return int(value)

@@ -65,7 +65,7 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("n", "max_inner", "max_outer"):
-            _require_size(getattr(self, name), name)
+            object.__setattr__(self, name, _require_size(getattr(self, name), name))
         if not -1.0 < self.target_tau < 1.0:
             raise ValueError("target_tau must lie in (-1, 1)")
         if not (0.0 < self.tol_tau < math.inf and 0.0 < self.tol_fix < math.inf):
@@ -379,15 +379,25 @@ def _frank_board(lam: float, n: int) -> CheckerboardDensity:
     return _checkerboard_at(min(max(4.0 * lam, -THETA_SUPPORT), THETA_SUPPORT), n)
 
 
-def _transport(p: CheckerboardDensity, old, new, tol):
-    """Sinkhorn(p * new / old) to tol: p carried from the multiplier of the
-    _frank_board old to that of new (README's notes on the solver).
-    Returns p itself when a kernel cell underflows to 0 (the clipped
-    boards' cells are normal floats, so their ratio stays finite)."""
-    kernel = p.masses * (new.masses / old.masses)
-    if not kernel.min() > 0.0:
-        return p
-    return CheckerboardDensity(p.n, _sinkhorn(kernel, tol))
+def _transport(p: CheckerboardDensity, new, D, s, D_prev, tol):
+    """Sinkhorn(exp(log new + D + s (D - D_prev))) to tol: the masses p of
+    the last evaluation carried to the multiplier of the _frank_board new,
+    with their departure from the boards extrapolated along the secant
+    (README's notes on the solver).  D = log p - log F is p's departure
+    from its own board F, and D_prev that of the evaluation before; s = 0
+    is the plain transport p * new / F.  The log-kernel's maximum is taken
+    off before exp.  A corrected kernel with a zero or non-finite cell falls
+    back to the plain one, and a plain one with a zero cell to p itself (the
+    clipped boards' cells are normal floats, so their logs are finite)."""
+    log_plain = np.log(new.masses) + D
+    with np.errstate(over="ignore", invalid="ignore"):
+        corrected = [log_plain + s * (D - D_prev)] if s else []
+    for log_k in corrected + [log_plain]:
+        with np.errstate(invalid="ignore"):  # inf - inf leaves a NaN cell
+            kernel = np.exp(log_k - log_k.max())
+        if kernel.min() > 0.0:  # False when a cell is NaN
+            return CheckerboardDensity(p.n, _sinkhorn(kernel, tol))
+    return p
 
 
 def _with_totals(report: SolverReport, reports) -> SolverReport:
@@ -414,8 +424,11 @@ def solve_mick(cfg: SolverConfig) -> SolverReport:
     bracketed, a guess outside the bracket becomes its midpoint, and a
     non-positive slope falls back to a capped step toward the target.  Each
     evaluation is an inner_fixed_point with the off-target exit, started
-    from the previous evaluation's masses carried to the new multiplier
-    along the Frank boards (_transport).
+    from the previous evaluation's masses p carried to the new multiplier
+    along the Frank boards (_transport).  From the third evaluation on,
+    their departure D = log p - log F(4 lambda) from the Frank board is
+    extrapolated too, along the secant through the last two evaluations'
+    departures; each evaluation's D is formed once and the last two kept.
 
     Returns the first evaluation within cfg.tol_tau of the target, which
     therefore never stopped early, with the search's total outer and inner
@@ -441,6 +454,7 @@ def solve_mick(cfg: SolverConfig) -> SolverReport:
         lam = float(cfg.multiplier_init)
     board = _frank_board(lam, cfg.n)  # F(4 lambda) of the last evaluation
     start = board if cfg.multiplier_init == "auto" else uniform_checkerboard(cfg.n)
+    D = None  # departure log p - log F(4 lambda) of the last evaluation
 
     reports = []  # one per evaluation
     # first slope dtau/dlambda: the Frank bridge's, tau'(theta) at theta = 4 lambda
@@ -470,16 +484,20 @@ def solve_mick(cfg: SolverConfig) -> SolverReport:
                 f"(best tau {best.achieved_tau} vs target {target})",
                 report=_with_totals(best, reports),
             )
-        if len(reports) > 1 and reports[-2].state.multiplier != lam:
-            prev = reports[-2]
-            slope = (tau - prev.achieved_tau) / (lam - prev.state.multiplier)
+        p = report.state.density
+        D_prev, D = D, np.log(p.masses / board.masses)
+        lam_prev = reports[-2].state.multiplier if len(reports) > 1 else lam
+        if lam_prev != lam:
+            slope = (tau - reports[-2].achieved_tau) / (lam - lam_prev)
         # secant step, capped so a poor start still grows geometrically
         cap = max(0.25, 0.5 * abs(lam))
         step = (target - tau) / slope if slope > 0.0 else math.inf
-        lam += math.copysign(min(abs(step), cap), target - tau)
-        if None not in (lo, hi) and not min(lo, hi) < lam < max(lo, hi):
-            lam = 0.5 * (lo + hi)
-        new_board = _frank_board(lam, cfg.n)
+        new_lam = lam + math.copysign(min(abs(step), cap), target - tau)
+        if None not in (lo, hi) and not min(lo, hi) < new_lam < max(lo, hi):
+            new_lam = 0.5 * (lo + hi)
+        # no secant for the second evaluation, or through a repeated multiplier
+        s = (new_lam - lam) / (lam - lam_prev) if lam_prev != lam else 0.0
+        lam = new_lam
+        board = _frank_board(lam, cfg.n)
         tol_p = _projection_tol(lam, cfg)  # that of the next evaluation
-        start = _transport(report.state.density, board, new_board, tol_p)
-        board = new_board
+        start = _transport(p, board, D, s, D_prev, tol_p)

@@ -955,6 +955,11 @@ class TestHighTau:
         reports = [high_tau_solve(n, tau)[0] for n, tau in self.REFERENCE]
         assert sum(r.inner_iterations_total for r in reports) <= 65
 
+    def test_projections_from_the_secant_start(self):
+        # 41 (20 + 21); 55 (29 + 26) from the plain transport
+        reports = [high_tau_solve(n, tau)[0] for n, tau in self.REFERENCE]
+        assert sum(r.inner_iterations_total for r in reports) <= 41
+
 
 @lru_cache(maxsize=None)
 def newton_counted_solve(n, tau):
@@ -984,6 +989,15 @@ class TestBeyondCheckerboardSupport:
     )
     def test_projections_capped(self, n, tau, cap):
         report, _ = newton_counted_solve(n, tau)
+        assert report.inner_iterations_total <= cap
+
+    # measured 22, 24, 21 and 23; 32, 37, 31 and 29 from the plain transport
+    @pytest.mark.parametrize(
+        "n, tau, cap", [(128, 0.99, 22), (96, 0.988, 24), (64, 0.98, 21), (256, 0.99, 23)]
+    )
+    def test_projections_from_the_secant_start(self, n, tau, cap):
+        report, _ = newton_counted_solve(n, tau)
+        assert report.converged
         assert report.inner_iterations_total <= cap
 
     def test_newton_finish_runs_at_n128(self):
@@ -1119,6 +1133,20 @@ class TestFrankStart:
         assert discrete_liouville_residual(board, 0.75) > 1e-6
 
 
+def transport(p, old, new, tol, s=0.0, p_prev=None, prev=None):
+    """_transport of the masses p, found at the Frank board old, to the board
+    new; with s, the departure of p_prev from its board prev gives the secant."""
+    D = np.log(p.masses) - np.log(old.masses)
+    D_prev = None if p_prev is None else np.log(p_prev.masses) - np.log(prev.masses)
+    return mick_solver._transport(p, new, D, s, D_prev, tol)
+
+
+def plain_transport(p, old, new, tol):
+    """The transport of the masses p from the board old to new as products:
+    Sinkhorn(p * new / old)."""
+    return mick_solver._sinkhorn(p.masses * (new.masses / old.masses), tol)
+
+
 class TestTransportedStart:
     def assert_same_fixed_point(self, report, cfg):
         """inner_fixed_point from the uniform board at the report's
@@ -1171,7 +1199,7 @@ class TestTransportedStart:
     def test_transport_of_a_frank_board_is_the_new_board(self):
         old = frank_checkerboard(FrankParameter(3.0), 16)
         new = frank_checkerboard(FrankParameter(3.5), 16)
-        moved = mick_solver._transport(old, old, new, MARGINAL_TOL)
+        moved = transport(old, old, new, MARGINAL_TOL)
         assert np.max(np.abs(moved.masses - new.masses)) <= 1e-12
 
     def test_underflowing_kernel_starts_from_previous_masses(self):
@@ -1180,7 +1208,7 @@ class TestTransportedStart:
         old = uniform_checkerboard(2)
         new = CheckerboardDensity(2, np.array([[0.5, 1e-30], [1e-30, 0.5]]))
         # tiny * 4e-30 underflows to 0
-        assert mick_solver._transport(p, old, new, MARGINAL_TOL) is p
+        assert transport(p, old, new, MARGINAL_TOL) is p
 
     def test_path_across_checkerboard_support(self):
         # lambda goes from theta = 304, beyond the boards, to about 234
@@ -1192,28 +1220,160 @@ class TestTransportedStart:
         self.assert_same_fixed_point(report, cfg)
 
 
+def departure(report, lam):
+    """log p - log F(4 lam): how far the report's masses are from the Frank
+    board of lam."""
+    p = report.state.density.masses
+    return np.log(p) - np.log(mick_solver._frank_board(lam, p.shape[0]).masses)
+
+
+def secant_start(lams, reports, cfg):
+    """The start of an evaluation at lams[-1], after evaluations at lams[-3]
+    and lams[-2] that gave reports: Sinkhorn(exp(log F(4 lam') + D2 + s (D2 -
+    D1))) to that evaluation's tol_p, with D_k the departure of report k."""
+    (lam1, lam2, lam), (r1, r2) = lams[-3:], reports[-2:]
+    D1, D2 = departure(r1, lam1), departure(r2, lam2)
+    s = (lam - lam2) / (lam2 - lam1)
+    L = np.log(mick_solver._frank_board(lam, cfg.n).masses) + D2 + s * (D2 - D1)
+    tol_p = mick_solver._projection_tol(lam, cfg)
+    return mick_solver._sinkhorn(np.exp(L - L.max()), tol_p)
+
+
+class TestSecantStart:
+    """From the third evaluation on, a solve starts from the previous masses
+    carried along the Frank boards, with their departure from the boards
+    extrapolated along the secant through the last two evaluations."""
+
+    def boards_and_masses(self):
+        cfg = SolverConfig(n=16, target_tau=0.9)
+        old, prev, new = (mick_solver._frank_board(x, 16) for x in (14.0, 13.5, 14.5))
+        p = inner_fixed_point(old, 14.0, cfg).state.density
+        p_prev = inner_fixed_point(prev, 13.5, cfg).state.density
+        return p, old, new, p_prev, prev
+
+    def test_zero_secant_is_the_plain_transport(self):
+        p, old, new, p_prev, prev = self.boards_and_masses()
+        moved = transport(p, old, new, MARGINAL_TOL, 0.0, p_prev, prev).masses
+        plain = plain_transport(p, old, new, MARGINAL_TOL)
+        assert np.max(np.abs(moved - plain)) <= 1e-16
+        corrected = transport(p, old, new, MARGINAL_TOL, 1.0, p_prev, prev).masses
+        assert np.max(np.abs(corrected - plain)) > 1e-6
+
+    @pytest.mark.parametrize("n, tau", [(16, 0.9), (32, 0.95), (8, 0.307)])
+    def test_later_evaluations_start_from_corrected_kernel(self, monkeypatch, n, tau):
+        calls = record_calls(monkeypatch, "inner_fixed_point")
+        cfg = SolverConfig(n=n, target_tau=tau)
+        assert solve_mick(cfg).converged
+        assert len(calls) >= 3
+        lams = [args[1] for args, _ in calls]
+        reports = [report for _, report in calls]
+        # the second evaluation keeps the plain transport
+        first = reports[0].state.density
+        boards = [mick_solver._frank_board(lam, n) for lam in lams[:2]]
+        tol_p = mick_solver._projection_tol(lams[1], cfg)
+        plain = plain_transport(first, *boards, tol_p)
+        assert np.max(np.abs(calls[1][0][0].masses - plain)) <= 1e-16
+        for k in range(2, len(calls)):
+            expected = secant_start(lams[: k + 1], reports[:k], cfg)
+            assert np.max(np.abs(calls[k][0][0].masses - expected)) <= 1e-16
+
+    def test_repeated_multiplier_keeps_the_plain_transport(self, monkeypatch):
+        # tau that jumps across the target at lambda = 0.6 draws the search
+        # onto two adjacent floats, where it evaluates one multiplier twice
+        # in a row; each evaluation returns real masses, at multipliers that
+        # alternate so that the departures of a repeated pair differ
+        calls = []
+
+        def jump(start, lam, cfg, off_target_exit=False):
+            masses_at = 0.5 if len(calls) % 2 else 0.4
+            report = inner_fixed_point(start, masses_at, cfg, off_target_exit)
+            tau = cfg.target_tau + (0.5 if lam > 0.6 else -0.5)
+            state = replace(report.state, multiplier=lam)
+            report = replace(report, achieved_tau=tau, state=state)
+            calls.append((start, lam, cfg, report))
+            return report
+
+        monkeypatch.setattr(mick_solver, "inner_fixed_point", jump)
+        with pytest.raises(NoConvergence):
+            solve_mick(SolverConfig(n=4, target_tau=0.3, max_outer=70))
+        lams = [lam for _, lam, _, _ in calls]
+        repeats = [k for k in range(2, len(calls)) if lams[k - 1] == lams[k - 2]]
+        assert repeats
+        for k in repeats:
+            start, lam, cfg, _ = calls[k]
+            _, lam2, _, report = calls[k - 1]
+            p = report.state.density
+            boards = [mick_solver._frank_board(x, 4) for x in (lam2, lam)]
+            plain = plain_transport(p, *boards, mick_solver._projection_tol(lam, cfg))
+            assert np.max(np.abs(start.masses - plain)) <= 1e-16
+
+    # explicit multipliers start on the uniform board: measured 8, 14, 17,
+    # 7, 24, 33 and 33; 8, 13, 23, 7, 34, 49 and 55 from the plain transport
+    @pytest.mark.parametrize(
+        "n, tau, init, cap",
+        [
+            (8, 0.307, 0, 8), (64, 0.9, 0, 14), (128, 0.95, 1.0, 17), (32, -0.6, 0, 7),
+            (16, 0.9, 0, 24), (64, 0.98, 0, 33), (128, 0.99, 0, 33),
+        ],
+    )
+    def test_explicit_start_projections(self, n, tau, init, cap):
+        report = solve_mick(SolverConfig(n=n, target_tau=tau, multiplier_init=init))
+        assert report.converged
+        assert report.inner_iterations_total <= cap
+
+    @pytest.mark.parametrize("shift", [-800.0, 1e308], ids=["underflow", "overflow"])
+    def test_corrected_kernel_without_a_positive_finite_cell_falls_back(self, shift):
+        # the departure's change is 0 but in one cell, where the secant takes
+        # the kernel's cell to exp(-800) = 0, or to inf and so to NaN
+        p, old, new, _, _ = self.boards_and_masses()
+        D = np.log(p.masses) - np.log(old.masses)
+        D_prev = D.copy()
+        D_prev[3, 5] -= shift
+        moved = mick_solver._transport(p, new, D, 10.0, D_prev, MARGINAL_TOL)
+        plain = plain_transport(p, old, new, MARGINAL_TOL)
+        assert np.max(np.abs(moved.masses - plain)) <= 1e-16
+
+
 SCAN_TAUS = (
     -0.9, -0.6, -0.307, -0.3, 0.1, 0.2, 0.3, 0.307, 0.5, 0.6, 0.8, 0.9, 0.93, 0.95,
     0.985,
 )
 
 
+# n = 4...128 x SCAN_TAUS where feasible: 75 points
+SCAN_POINTS = [
+    (n, tau) for n in (4, 8, 16, 32, 64, 128) for tau in SCAN_TAUS
+    if abs(tau) < tau_max_for_grid(n)
+]
+
+
+@lru_cache(maxsize=None)
+def scan(tol_tau):
+    """The configs and reports of the scan's solves at tol_tau."""
+    cfgs = [SolverConfig(n=n, target_tau=t, tol_tau=tol_tau) for n, t in SCAN_POINTS]
+    return [(cfg, solve_mick(cfg)) for cfg in cfgs]
+
+
 def test_scan_converges_in_few_evaluations():
-    # n = 4...128 x SCAN_TAUS where feasible: 75 points.  266 evaluations
-    # when the search started at theta(tau) / 4, 189 from the closed-form seed
-    points = [
-        (n, tau) for n in (4, 8, 16, 32, 64, 128) for tau in SCAN_TAUS
-        if abs(tau) < tau_max_for_grid(n)
-    ]
-    assert len(points) == 75
+    # 266 evaluations when the search started at theta(tau) / 4, 189 from
+    # the closed-form seed
+    assert len(SCAN_POINTS) == 75
     evaluations = 0
-    for n, tau in points:
-        cfg = SolverConfig(n=n, target_tau=tau)
-        report = solve_mick(cfg)
-        assert report.converged, (n, tau)
+    for cfg, report in scan(SolverConfig.tol_tau):
+        assert report.converged, (cfg.n, cfg.target_tau)
         assert report.stationarity_residual <= min(cfg.tol_fix, cfg.tol_tau)
         evaluations += report.outer_iterations
     assert evaluations <= 200
+
+
+# (evaluations, projections) over the scan: (187, 692) and (294, 882) when
+# every evaluation started from the plain transport
+@pytest.mark.parametrize("tol_tau, work", [(1e-6, (187, 619)), (1e-10, (295, 743))])
+def test_scan_work(tol_tau, work):
+    reports = [report for _, report in scan(tol_tau)]
+    assert all(r.converged for r in reports)
+    evaluations = sum(r.outer_iterations for r in reports)
+    assert (evaluations, sum(r.inner_iterations_total for r in reports)) == work
 
 
 class TestIterateZero:
@@ -1296,8 +1456,9 @@ class TestIterateZero:
 
     def test_mid_sweep_work(self):
         # [12, 10, 7, 6, 4, 3, 1] projections, 43 in all, when each solve
-        # projected its start before its first residual test
+        # projected its start before its first residual test; [10, 8, 6, 5,
+        # 3, 2, 0] when every evaluation started from the plain transport
         grids = (4, 8, 16, 32, 64, 128, 256)
         reports = [solve_mick(SolverConfig(n=n, target_tau=0.307)) for n in grids]
         assert [r.outer_iterations for r in reports] == [4, 3, 2, 2, 1, 1, 1]
-        assert [r.inner_iterations_total for r in reports] == [10, 8, 6, 5, 3, 2, 0]
+        assert [r.inner_iterations_total for r in reports] == [9, 7, 6, 5, 3, 2, 0]

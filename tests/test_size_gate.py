@@ -12,12 +12,14 @@ from frankmick import (
     FrankParameter,
     GridFunction,
     SolverConfig,
+    SolverReport,
     frank_checkerboard,
     frank_density,
     frank_F_identity,
     frank_sample,
     liouville_residual,
     sinkhorn_project,
+    solve_mick,
     tau_max_for_grid,
     uniform_checkerboard,
 )
@@ -93,3 +95,21 @@ def test_empty_kernel_names_the_square_kernel():
 def test_kernel_sides_are_accepted(side):
     board = sinkhorn_project(np.ones((side, side)))
     assert board.n == side
+
+
+def test_numpy_sized_board_round_trips_through_json():
+    board = uniform_checkerboard(np.int64(3))
+    assert type(board.n) is int
+    back = CheckerboardDensity.from_json(board.to_json())
+    assert back.n == 3 and np.array_equal(back.masses, board.masses)
+
+
+def test_numpy_sized_report_round_trips_through_json():
+    cfg = SolverConfig(n=np.int64(8), target_tau=0.3, max_inner=np.int64(5000))
+    assert all(type(getattr(cfg, f)) is int for f in ("n", "max_inner", "max_outer"))
+    report = solve_mick(cfg)
+    obj = json.loads(report.to_json(cfg))
+    assert obj["config"]["n"] == 8 and obj["config"]["max_inner"] == 5000
+    back = SolverReport.from_json(report.to_json(cfg))
+    assert back.state.density.n == 8
+    assert np.array_equal(back.state.density.masses, report.state.density.masses)
