@@ -48,6 +48,8 @@ class FrankParameter:
     def __post_init__(self):
         if not math.isfinite(self.theta) or self.theta == 0.0:
             raise ValueError("theta must be finite and nonzero")
+        # a numpy float32 theta would otherwise carry its precision into the math
+        object.__setattr__(self, "theta", float(self.theta))
 
 
 def _check_support(p: FrankParameter) -> float:
@@ -376,7 +378,7 @@ def theta_from_tau(tau: float) -> FrankParameter:
         raise NonInvertible(f"tau must lie in (-1, 1), got {tau}")
     if tau == 0.0:
         raise ZeroTau("tau = 0 corresponds to independence, not a Frank copula")
-    target = abs(tau)
+    target = abs(float(tau))
     if target > _TAU_AT_CAP:
         raise NonInvertible(
             f"tau = {tau} needs |theta| beyond {_THETA_SEARCH_CAP}"

@@ -35,20 +35,6 @@ class DivergenceDetected(FrankMickError):
     """The fixed-point iteration underflowed or stopped contracting."""
 
 
-class BracketFailure(FrankMickError):
-    """The multiplier search could not bracket the target tau.
-
-    Attributes
-    ----------
-    tau_range : tuple of float
-        (lowest, highest) tau values achieved while searching.
-    """
-
-    def __init__(self, msg, tau_range=None):
-        super().__init__(msg)
-        self.tau_range = tau_range
-
-
 class TauInfeasible(FrankMickError):
     """|target tau| is at or beyond the maximum attainable on the grid."""
 

@@ -36,7 +36,6 @@ from .copula_core import (
 )
 from .concordance import _potential_from_masses
 from .errors import (
-    BracketFailure,
     DivergenceDetected,
     NoConvergence,
     NotConverged,
@@ -49,7 +48,7 @@ _SINKHORN_CAP = 50_000
 _ANDERSON_MEMORY = 3  # difference pairs kept by inner_fixed_point
 _ANDERSON_RIDGE = 1e-12  # ridge on its normal equations, relative to their trace
 _FORCING = 0.1  # off-target exit: residual within this fraction of the tau miss
-_NEWTON_STEPS = 50  # Newton steps, and halvings of one step, before it gives up
+_NEWTON_STEPS = 50  # Newton steps before it gives up, and halvings of one step
 
 
 @dataclass(frozen=True)
@@ -73,8 +72,12 @@ class SolverConfig:
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
         if self.multiplier_init != "auto":
-            if not math.isfinite(float(self.multiplier_init)):
+            object.__setattr__(self, "multiplier_init", float(self.multiplier_init))
+            if not math.isfinite(self.multiplier_init):
                 raise ValueError("multiplier_init must be 'auto' or finite")
+        # numpy floats would carry their precision into the solve and fail to_json
+        for name in ("target_tau", "tol_tau", "tol_fix", "damping"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -151,7 +154,8 @@ def _sinkhorn(K, tol):
     ratio = resid / prev_resid, predicts more than budget = max(12, n / 2)
     further sweeps (resid * ratio^budget > tol), or when ratio >= 1, which
     also keeps ratio^budget finite.  When the finish hands back its column
-    scaling, the sweeps resume from it and never switch again.  Raises
+    scaling after _NEWTON_STEPS steps, the sweeps resume from it and never
+    switch again: some kernels converge only that way.  Raises
     NotConverged after _SINKHORN_CAP sweeps.  README's notes on the solver
     give the costs behind the budget.
     """
@@ -220,21 +224,24 @@ def _newton_finish(K, r, c, tol):
     """Sinkhorn-Newton (Brauer, Clason, Lorenz & Wirth 2017) on (log r, log c).
 
     Returns (P, c) with P = D_r K D_c once both marginals are within tol,
-    or (None, c) with the last accepted column scaling when the line
-    search stalls, a step's system is singular, or _NEWTON_STEPS steps did
-    not reach tol.  Each step is _newton_direction, with c[0] held fixed
-    as the gauge, halved until the L1 marginal error falls.
+    or (None, c) with the last column scaling after _NEWTON_STEPS steps.
+    Each step is _newton_direction, with c[0] held fixed as the gauge,
+    halved until the L1 marginal error falls; when the step's system is
+    singular, or _NEWTON_STEPS halvings do not lower the error, the step is
+    one Sinkhorn sweep instead.
     """
+    target = 1.0 / K.shape[0]
     P, sums, miss = _scaled(K, r, c)
     for _ in range(_NEWTON_STEPS):
         if miss.max() <= tol:
             return P, c
         try:
             dx, dy = _newton_direction(P, sums)
+            halvings = _NEWTON_STEPS
         except np.linalg.LinAlgError:
-            return None, c
+            halvings = 0  # no direction: the step is the sweep below
         err, step = miss.sum(), 1.0
-        for _ in range(_NEWTON_STEPS):
+        for _ in range(halvings):
             # a trial that overflows has an inf or NaN error and is halved
             with np.errstate(over="ignore", invalid="ignore"):
                 r_t, c_t = r * np.exp(step * dx), c * np.exp(step * dy)
@@ -243,7 +250,9 @@ def _newton_finish(K, r, c, tol):
                 break
             step *= 0.5
         else:
-            return None, c
+            r_t = target / (K @ c)
+            c_t = target / (K.T @ r_t)
+            P_t, sums_t, miss_t = _scaled(K, r_t, c_t)
         r, c, P, sums, miss = r_t, c_t, P_t, sums_t, miss_t
     return None, c
 
@@ -432,11 +441,11 @@ def solve_mick(cfg: SolverConfig) -> SolverReport:
 
     Returns the first evaluation within cfg.tol_tau of the target, which
     therefore never stopped early, with the search's total outer and inner
-    counts.  Raises BracketFailure with the range of the evaluations' tau
-    once |lambda| passes 200 unbracketed, and NoConvergence after
-    cfg.max_outer evaluations, carrying the first evaluation closest to the
-    target, with the same totals; that evaluation may have stopped at the
-    off-target exit.
+    counts.  Its one give-up is cfg.max_outer: after that many evaluations,
+    bracketed or not, it raises NoConvergence carrying the first evaluation
+    closest to the target, with the same totals; that evaluation may have
+    stopped at the off-target exit.  A multiplier too large for the grid
+    raises DivergenceDetected from the evaluation (inner_fixed_point).
     """
     target = cfg.target_tau
     if target == 0.0:
@@ -451,7 +460,7 @@ def solve_mick(cfg: SolverConfig) -> SolverReport:
         theta = theta_from_tau(target).theta
         lam = (theta + 2.0 * theta / (9.0 * _tau_slope(theta) * cfg.n**2)) / 4.0
     else:
-        lam = float(cfg.multiplier_init)
+        lam = cfg.multiplier_init
     board = _frank_board(lam, cfg.n)  # F(4 lambda) of the last evaluation
     start = board if cfg.multiplier_init == "auto" else uniform_checkerboard(cfg.n)
     D = None  # departure log p - log F(4 lambda) of the last evaluation
@@ -470,12 +479,6 @@ def solve_mick(cfg: SolverConfig) -> SolverReport:
             lo = lam
         else:
             hi = lam
-        if None in (lo, hi) and abs(lam) > 200.0:
-            taus = [r.achieved_tau for r in reports]
-            raise BracketFailure(
-                f"could not bracket tau = {target}",
-                tau_range=(min(taus), max(taus)),
-            )
         if len(reports) >= cfg.max_outer:
             misses = [abs(r.achieved_tau - target) for r in reports]
             best = reports[misses.index(min(misses))]  # the first closest

@@ -96,3 +96,25 @@ def test_solver_fields():
         "converged",
         "implied_theta",
     ]
+
+
+def test_errors():
+    # the exception types a caller can catch, with their bases: removing
+    # one, or moving it in the hierarchy, breaks an except clause
+    exported = {
+        name: [base.__name__ for base in cls.__bases__]
+        for name, cls in vars(frankmick.errors).items()
+        if isinstance(cls, type) and issubclass(cls, Exception)
+    }
+    assert exported == {
+        "FrankMickError": ["Exception"],
+        "NonInvertible": ["FrankMickError"],
+        "ZeroTau": ["FrankMickError"],
+        "NonPositiveDensity": ["FrankMickError"],
+        "ThetaOutOfSupport": ["FrankMickError", "ValueError"],
+        "GridMismatch": ["FrankMickError"],
+        "NotConverged": ["FrankMickError"],
+        "DivergenceDetected": ["FrankMickError"],
+        "TauInfeasible": ["FrankMickError"],
+        "NoConvergence": ["FrankMickError"],
+    }

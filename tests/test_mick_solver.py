@@ -26,7 +26,6 @@ from frankmick.concordance import _potential_from_masses
 from frankmick import copula_core, mick_solver
 from frankmick.copula_core import MARGINAL_TOL, THETA_SUPPORT
 from frankmick.errors import (
-    BracketFailure,
     DivergenceDetected,
     NoConvergence,
     NotConverged,
@@ -348,20 +347,27 @@ class TestOuterSearch:
             r.inner_iterations_total for r in evals
         )
 
-    def test_bracket_failure_spans_evaluated_taus(self, monkeypatch):
-        # a tau(lambda) that saturates below the target drives lambda past 200
-        taus = []
+    def test_unbracketed_search_ends_at_max_outer(self, monkeypatch):
+        # a tau(lambda) that saturates below the target is never bracketed,
+        # and the search's one give-up is max_outer
+        evals = []
 
         def saturating(start, lambda_d, cfg, off_target_exit=False):
-            taus.append(0.2 * math.tanh(lambda_d))
             state = SolverState(start, lambda_d, np.zeros(cfg.n), np.zeros(cfg.n))
-            return SolverReport(state, taus[-1], 0.0, 1, 1, False, 4.0 * lambda_d)
+            tau = 0.2 * math.tanh(lambda_d)
+            evals.append(SolverReport(state, tau, 0.0, 1, 1, False, 4.0 * lambda_d))
+            return evals[-1]
 
         monkeypatch.setattr(mick_solver, "inner_fixed_point", saturating)
-        with pytest.raises(BracketFailure) as err:
-            solve_mick(SolverConfig(n=8, target_tau=0.307))
-        assert len(taus) > 2
-        assert err.value.tau_range == (min(taus), max(taus))
+        cfg = SolverConfig(n=8, target_tau=0.307)
+        with pytest.raises(NoConvergence) as err:
+            solve_mick(cfg)
+        assert len(evals) == cfg.max_outer
+        closest = min(evals, key=lambda r: abs(r.achieved_tau - 0.307))
+        report = err.value.report
+        assert report.state is closest.state
+        assert report.achieved_tau == closest.achieved_tau == 0.2
+        assert report.outer_iterations == report.inner_iterations_total == len(evals)
 
     def test_secant_leaving_the_bracket_takes_its_midpoint(self, monkeypatch):
         # a tau(lambda) flat above a steep rise at 1.1: from 1.0 (below) and
@@ -513,7 +519,8 @@ class TestSolveMick:
         [("max_inner", 0), ("max_inner", -5), ("max_outer", 0), ("max_outer", -1)],
     )
     def test_iteration_limit_below_one_rejected(self, limit, value):
-        # max_inner = 0 used to march lambda to a BracketFailure, and
+        # max_inner = 0 used to leave every evaluation at its start, so the
+        # search marched lambda off without a bracket, and
         # max_outer = 0 to report "exhausted 0 evaluations" after one
         with pytest.raises(ValueError):
             SolverConfig(n=8, target_tau=0.307, **{limit: value})
@@ -808,8 +815,8 @@ class TestNewtonFinish:
         assert np.array_equal(P, self.sweeps_only(K))
 
     def test_real_stall_resumes_the_sweeps(self, monkeypatch):
-        # log K spans -181...94: the real finish stalls once and hands back
-        # its column scaling, and the sweeps resumed from it converge
+        # log K spans -181...94: the real finish uses up its steps and hands
+        # back its column scaling, and the sweeps resumed from it converge
         calls = record_calls(monkeypatch, "_newton_finish")
         K = np.exp(60 * np.random.default_rng(26).normal(size=(4, 4)))
         P = sinkhorn_project(K).masses
@@ -833,8 +840,8 @@ class TestNewtonFinish:
         with pytest.raises(NotConverged):
             sinkhorn_project(K)
 
-    # a tolerance below round-off: no line-search step lowers the L1 error,
-    # so the real finish stalls, and the sweeps after it reach the cap
+    # a tolerance below round-off: the real finish uses up its steps and
+    # hands back, and the sweeps after it reach the cap
     def test_unreachable_tolerance_stalls(self):
         K = np.exp(np.random.default_rng(0).normal(size=(8, 8)))
         ones = np.ones(8)
@@ -847,11 +854,43 @@ class TestNewtonFinish:
         with pytest.raises(NotConverged):
             mick_solver._sinkhorn(K, 1e-20)
 
-    def test_singular_step_hands_back(self):
-        # a column scaled to 0 leaves the Schur complement singular
+    def test_singular_step_takes_a_sweep(self):
+        # a column scaled to 0 leaves the Schur complement singular; the
+        # finish takes one Sinkhorn sweep instead, which lands on the masses
         c = np.array([1.0, 0.0])
         P, back = mick_solver._newton_finish(np.ones((2, 2)), np.ones(2), c, 1e-10)
-        assert P is None and back is c
+        assert np.array_equal(P, np.full((2, 2), 0.25))
+        assert np.array_equal(back, [0.5, 0.5])
+
+    def test_stalled_line_search_takes_a_sweep(self, monkeypatch):
+        # every trial of a direction of inf overflows, so no halving lowers
+        # the error and each step is one Sinkhorn sweep: the finish is the
+        # plain sweeps, which reach tol within its steps on this kernel
+        def never_lower(P, sums):
+            return np.full(P.shape[0], np.inf), np.full(P.shape[0], np.inf)
+
+        monkeypatch.setattr(mick_solver, "_newton_direction", never_lower)
+        K = np.exp(0.5 * np.random.default_rng(8).normal(size=(12, 12)))
+        ones = np.ones(12)
+        P, _ = mick_solver._newton_finish(K, ones, ones, MARGINAL_TOL)
+        assert np.array_equal(P, self.sweeps_only(K))
+
+    @pytest.mark.parametrize("n, seed", [(3, 59), (4, 13)])
+    def test_sweep_in_place_of_a_singular_step_converges(self, n, seed):
+        # a Newton system turns singular on these exp(80 Z) kernels; handing
+        # back there left 50,000 resumed sweeps short of MARGINAL_TOL
+        log_k = 80.0 * np.random.default_rng(seed).normal(size=(n, n))
+        P = sinkhorn_project(np.exp(log_k)).masses
+        assert np.max(np.abs(P.sum(axis=0) - 1 / n)) <= MARGINAL_TOL
+        assert np.max(np.abs(P.sum(axis=1) - 1 / n)) <= MARGINAL_TOL
+
+        # cross-ratios as logs: as products they leave float64's range
+        def log_cross(M):
+            return M[:, None, :, None] + M[None, :, None, :] - (
+                M[:, None, None, :] + M[None, :, :, None]
+            )
+
+        assert np.max(np.abs(log_cross(np.log(P)) - log_cross(log_k))) <= 1e-10
 
     def test_step_limit_hands_back_last_scaling(self, monkeypatch):
         # one step, accepted at full length, does not reach tol
