@@ -6,7 +6,6 @@ from .copula_core import (
     GridFunction,
     checkerboard_cdf_eval,
     debye_d1,
-    frank_F_identity,
     frank_cdf,
     frank_checkerboard,
     frank_density,
@@ -54,7 +53,6 @@ __all__ = [
     "convergence_sweep",
     "debye_d1",
     "errors",
-    "frank_F_identity",
     "frank_cdf",
     "frank_checkerboard",
     "frank_density",

@@ -3,7 +3,7 @@
 Subcommands:
     frank eval | tau | theta | checkerboard | sample
     mick  solve | compare | sweep
-    verify liouville | identity
+    verify liouville
 
 Usage errors exit 2; numeric failures exit 1 with a JSON diagnostic line
 on stderr.
@@ -25,14 +25,14 @@ from .mick_solver import SolverConfig, SolverReport, solve_mick
 
 
 def _grid_sizes(text: str) -> list[int]:
-    """--grids: comma-separated positive integers in ascending order."""
+    """--grids: comma-separated positive integers in strictly ascending order."""
     try:
         grids = [int(tok) for tok in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}")
-    if min(grids) < 1 or grids != sorted(grids):
+    if min(grids) < 1 or grids != sorted(set(grids)):
         raise argparse.ArgumentTypeError(
-            f"grid sizes must be positive and ascending: {text!r}"
+            f"grid sizes must be positive and strictly ascending: {text!r}"
         )
     return grids
 
@@ -89,16 +89,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--svg", default=None)
 
-    verify = groups.add_parser("verify", help="numerical identity checks")
+    verify = groups.add_parser("verify", help="numerical checks")
     vsub = verify.add_subparsers(dest="command", required=True)
 
     p = vsub.add_parser("liouville", help="local-dependence PDE residual order")
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
-
-    p = vsub.add_parser("identity", help="cdf vs -(1/theta) log F identity")
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--n", type=int, default=50)
 
     return top
 
@@ -175,11 +171,6 @@ def _run(args) -> int:
                 f"sup_residual n={args.n}: {s1:.6e}  n={2 * args.n}: {s2:.6e}  "
                 f"ratio: {s1 / s2:.3f}"
             )
-        elif args.command == "identity":
-            gap = cc.frank_F_identity(param, args.n)
-            print(f"{gap:.3e}")
-            if gap > 1e-12:
-                return 1
     return 0
 
 

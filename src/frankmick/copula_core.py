@@ -448,27 +448,6 @@ def _checkerboard_at(theta: float, n: int) -> CheckerboardDensity:
     return frank_checkerboard(FrankParameter(theta), n)
 
 
-def frank_F_identity(p: FrankParameter, n: int) -> float:
-    """Sup-norm gap between the Frank cdf and -(1/theta) log F on the grid.
-
-    F(u,v) = (e^{-t} - e^{-tv} - e^{-tu} + e^{-t(u+v)}) / (e^{-t} - 1)
-    is the bilinear-in-exponentials form whose log reproduces the cdf
-    exactly; this returns the largest node deviation on an (n+1)^2 grid.
-    log F is log1p(F - 1), with F - 1 formed as in frank_cdf, wherever F >= 1/2.
-    """
-    _require_size(n, "n", least=2)
-    t = _check_support(p)
-    nodes = np.arange(n + 1) / n
-    u = nodes[:, None]
-    v = nodes[None, :]
-    x = np.expm1(-t * u) / np.expm1(-t) * np.expm1(-t * v)  # F - 1
-    F = (
-        np.exp(-t) - np.exp(-t * v) - np.exp(-t * u) + np.exp(-t * (u + v))
-    ) / np.expm1(-t)
-    recovered = -_log1p_split(x, np.log(np.where(x < -0.5, F, 1.0))) / t
-    return float(np.max(np.abs(frank_cdf(p, u, v) - recovered)))
-
-
 def checkerboard_cdf_eval(c: CheckerboardDensity, u: float, v: float) -> float:
     """Cdf of the checkerboard copula (bilinear within each cell)."""
     u = float(_check_unit(u, "u"))

@@ -44,14 +44,15 @@ def convergence_sweep(
 ) -> SweepResult:
     """Solve at each grid size and measure the gap to the Frank checkerboard.
 
-    Grids are solved in order; per-grid failures are collected in
+    grid_sizes must be strictly ascending (ValueError otherwise), and are
+    solved in that order; per-grid failures are collected in
     ``failures`` instead of aborting.  Each grid's reference board is built
     before its solve, so a theta beyond the Frank checkerboard's support
     fails the grid without solving it.
     """
     grid_sizes = list(grid_sizes)
-    if grid_sizes != sorted(grid_sizes):
-        raise ValueError("grid_sizes must be ascending")
+    if grid_sizes != sorted(set(grid_sizes)):
+        raise ValueError("grid_sizes must be strictly ascending")
     theta = theta_from_tau(tau).theta if tau != 0.0 else 0.0
 
     sizes, errors, reports, failures = [], [], [], {}

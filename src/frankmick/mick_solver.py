@@ -37,6 +37,7 @@ from .copula_core import (
 from .concordance import _potential_from_masses
 from .errors import (
     DivergenceDetected,
+    GridMismatch,
     NoConvergence,
     NotConverged,
     TauInfeasible,
@@ -310,8 +311,9 @@ def inner_fixed_point(
     projected iterate: solve_mick's starts are exact boards or projected to
     tol_p.  With off_target_exit it also stops at the first iterate whose
     tau misses the target, miss = |tau - cfg.target_tau| > cfg.tol_tau,
-    while max|R| <= _FORCING * miss.  Raises DivergenceDetected for a start
-    with a zero cell, or when a kernel or a projected cell underflows.
+    while max|R| <= _FORCING * miss.  Raises GridMismatch for a start whose
+    grid is not cfg.n, and DivergenceDetected for a start with a zero cell,
+    or when a kernel or a projected cell underflows.
 
     Returns the SolverReport of the last iterate: its masses, validated
     once, with the row and column means of log p - 2 lambda_d S(p), less
@@ -319,6 +321,8 @@ def inner_fixed_point(
     and the projection count; converged judged against cfg, so an
     evaluation that took the off-target exit is never converged.
     """
+    if start.n != cfg.n:
+        raise GridMismatch(f"start is {start.n} x {start.n}, cfg.n is {cfg.n}")
     p = start.masses
     if np.any(p <= 0.0):
         raise DivergenceDetected("initial density must be strictly positive")

@@ -294,6 +294,13 @@ def frank_cells_mp(theta, n, cells, dps):
         ]
 
 
+def frank_dps(theta):
+    """mpmath digits for a Frank reference at theta: the smallest cell or
+    density value is about e^{-2|theta|} next to terms of order 1, so the
+    reference cancels about 0.87 |theta| digits; 40 more are kept."""
+    return 40 + int(0.87 * abs(theta))
+
+
 def frank_cdf_mp(theta, u, v, dps):
     """Frank cdf -(1/theta) log(1 + expm1(-theta u) expm1(-theta v) /
     expm1(-theta)) in mpmath at ``dps`` digits."""

@@ -12,18 +12,20 @@ from frankmick import (
     FrankParameter,
     SolverConfig,
     compare_to_frank,
+    frank_cdf,
     frank_checkerboard,
     frank_density,
     frank_sample,
     kendall_tau_checkerboard,
     liouville_residual,
-    frank_F_identity,
     solve_mick,
     tau_from_theta,
     theta_from_tau,
 )
 
 from _oracles import (
+    frank_cdf_mp,
+    frank_dps,
     gauss_legendre_2d,
     projected_gradient_mick,
     random_feasible_with_tau,
@@ -73,10 +75,15 @@ def test_criterion_2_liouville_residual_order():
 
 
 def test_criterion_3_cdf_identity():
-    worst = max(
-        frank_F_identity(FrankParameter(theta), 50)
-        for theta in (2.0, -2.0, 3.0, -3.0)
-    )
+    # frank_cdf against -(1/theta) log F evaluated in mpmath, on the 21 x 21
+    # nodes, edges included
+    nodes = np.arange(21) / 20
+    worst = 0.0
+    for theta in (2.0, -2.0, 3.0, -3.0):
+        dps = frank_dps(theta)
+        ref = np.array([[frank_cdf_mp(theta, u, v, dps) for v in nodes] for u in nodes])
+        got = frank_cdf(FrankParameter(theta), nodes[:, None], nodes[None, :])
+        worst = max(worst, float(np.max(np.abs(got - ref))))
     t = 2.0
     F00 = (np.exp(-t) - 2.0 + 1.0) / np.expm1(-t)
     F11 = (np.exp(-t) - 2 * np.exp(-t) + np.exp(-2 * t)) / np.expm1(-t)
@@ -85,7 +92,7 @@ def test_criterion_3_cdf_identity():
     _report(
         3,
         ok,
-        f"sup |cdf - (-(1/theta) log F)| = {worst:.2e} (<= 1e-12), "
+        f"sup |cdf - (-(1/theta) log F in mpmath)| = {worst:.2e} (<= 1e-12), "
         f"corner error {corner:.2e} (<= 1e-15)",
     )
 

@@ -33,7 +33,6 @@ def test_all():
         "convergence_sweep",
         "debye_d1",
         "errors",
-        "frank_F_identity",
         "frank_cdf",
         "frank_checkerboard",
         "frank_density",

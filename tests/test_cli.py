@@ -180,18 +180,10 @@ class TestMickCommands:
 
 
 class TestVerifyCommands:
-    def test_identity(self, capsys):
-        code, out, _ = run(capsys, "verify", "identity", "--theta", "3")
-        assert code == 0
-        assert float(out) <= 1e-12
-
-    @pytest.mark.parametrize(
-        "theta", ["1e-300", "-1e-300", "1e-6", "-1e-6", "1e-3", "0.1", "-50", "300"]
-    )
-    def test_identity_near_independence(self, capsys, theta):
-        code, out, _ = run(capsys, "verify", "identity", f"--theta={theta}")
-        assert code == 0
-        assert float(out) <= 1e-12
+    def test_no_identity_command(self, capsys):
+        # the cdf identity is checked against mpmath by the tests instead
+        code, _, _ = run(capsys, "verify", "identity", "--theta", "3")
+        assert code == 2
 
     def test_liouville(self, capsys):
         code, out, _ = run(
@@ -230,7 +222,7 @@ class TestErrorHandling:
         diag = json.loads(err.strip().splitlines()[-1])
         assert diag["error"] == "TauInfeasible"
 
-    @pytest.mark.parametrize("grids", ["4,x", "8,4", "0,4"])
+    @pytest.mark.parametrize("grids", ["4,x", "8,4", "0,4", "4,4", "4,8,8"])
     def test_bad_grids_are_usage_errors(self, capsys, tmp_path, grids):
         code, _, err = run(
             capsys, "mick", "sweep", "--tau", "0.307", "--grids", grids,
@@ -305,7 +297,13 @@ def subcommands(parser):
 def test_every_option_is_in_readme():
     # each subcommand's options appear on its lines of README's CLI block
     block = README.read_text().split("## CLI", 1)[1].split("```")[1]
-    for group, group_parser in subcommands(_build_parser()).items():
+    groups = subcommands(_build_parser())
+    # and each command line of the block names a subcommand the parser has
+    known = {f"frankmick {g} {c}" for g, gp in groups.items() for c in subcommands(gp)}
+    for ln in block.splitlines():
+        if ln.startswith("frankmick "):
+            assert " ".join(ln.split()[:3]) in known, ln
+    for group, group_parser in groups.items():
         for command, parser in subcommands(group_parser).items():
             prefix = f"frankmick {group} {command} "
             lines = [ln for ln in block.splitlines() if ln.startswith(prefix)]

@@ -37,6 +37,7 @@ from _oracles import (
     frank_cells_mp,
     frank_d1_mp,
     frank_density_mp,
+    frank_dps,
     frank_generator_inverse_mp,
     frank_generator_mp,
     frank_tau_mp,
@@ -51,13 +52,6 @@ _MAGNITUDES = st.one_of(
 THETAS = st.builds(lambda m, s: s * m, _MAGNITUDES, st.sampled_from([1.0, -1.0]))
 
 SWITCH = (2.0, -2.0, math.nextafter(2.0, 0.0), math.nextafter(2.0, 3.0))
-
-
-def _dps(theta):
-    """mpmath digits for a Frank reference at theta: the smallest cell or
-    density value is about e^{-2|theta|} next to terms of order 1, so the
-    reference cancels about 0.87 |theta| digits; 40 more are kept."""
-    return 40 + int(0.87 * abs(theta))
 
 
 class TestBridgeAgainstMpmath:
@@ -118,7 +112,7 @@ class TestCheckerboardAgainstMpmath:
         # half mirrored
         for n in (15, 16):
             cells = [(i, j) for i in range(n) for j in range(n)]
-            ref = np.array(frank_cells_mp(theta, n, cells, _dps(theta)))
+            ref = np.array(frank_cells_mp(theta, n, cells, frank_dps(theta)))
             ref = ref.reshape(n, n)
             got = frank_checkerboard(FrankParameter(theta), n).masses
             assert np.all(ref > 0.0)
@@ -131,7 +125,7 @@ class TestCheckerboardAgainstMpmath:
         corners = [(0, 0), (0, n - 1), (n - 1, 0), (n - 1, n - 1), (n // 2, n // 2)]
         drawn = rng.integers(0, n, size=(40, 2))
         cells = corners + [(int(i), int(j)) for i, j in drawn]
-        ref = np.array(frank_cells_mp(theta, n, cells, _dps(theta)))
+        ref = np.array(frank_cells_mp(theta, n, cells, frank_dps(theta)))
         masses = frank_checkerboard(FrankParameter(theta), n).masses
         got = np.array([masses[i, j] for i, j in cells])
         assert np.all(ref > 0.0)
@@ -151,7 +145,11 @@ PSI_INV_ARGS = [1e-300, 1e-12, 1e-6, 0.01, 0.3, 0.5, 0.9, 1.0 - 1e-9, 1.0]
 # near independence down to |theta| = 1e-300: the cdf's log1p argument and
 # the density's factors are each formed without a product of two tiny terms
 TINY_THETAS = [s * m for m in (1e-12, 1e-100, 1e-300) for s in (1.0, -1.0)]
-CDF_THETAS = EVAL_THETAS + TINY_THETAS
+# and between them: up to |theta| = 0.1, log F is log1p(F - 1) on the whole
+# square; at theta = 2 it is the log of the same-sign bracket where F < 1/2
+CDF_THETAS = EVAL_THETAS + TINY_THETAS + [
+    s * m for m in (1e-3, 0.1, 2.0) for s in (1.0, -1.0)
+]
 # below |theta| = 1e-300, down to the smallest subnormal, where the closed
 # forms evaluate at +-1e-300
 BELOW_FLOOR = [s * m for m in (1e-305, 1e-310, 1e-320, 5e-324) for s in (1.0, -1.0)]
@@ -165,7 +163,8 @@ class TestEvaluatorsAgainstMpmath:
     def test_density(self, theta):
         rng = np.random.default_rng(11)
         u, v = rng.random(300), rng.random(300)
-        ref = np.array([frank_density_mp(theta, a, b, _dps(theta)) for a, b in zip(u, v)])
+        dps = frank_dps(theta)
+        ref = np.array([frank_density_mp(theta, a, b, dps) for a, b in zip(u, v)])
         got = frank_density(FrankParameter(theta), u, v)
         assert np.all(ref > 0.0)
         assert np.max(np.abs(got - ref) / ref) <= 1e-13
@@ -174,7 +173,8 @@ class TestEvaluatorsAgainstMpmath:
     def test_cdf(self, theta):
         rng = np.random.default_rng(12)
         u, v = rng.random(200), rng.random(200)
-        ref = np.array([frank_cdf_mp(theta, a, b, _dps(theta)) for a, b in zip(u, v)])
+        dps = frank_dps(theta)
+        ref = np.array([frank_cdf_mp(theta, a, b, dps) for a, b in zip(u, v)])
         assert np.max(np.abs(frank_cdf(FrankParameter(theta), u, v) - ref)) <= 1e-15
 
     # 10 and 30 as well: a plain log of the inverse's ratio loses 1e-4
@@ -182,7 +182,7 @@ class TestEvaluatorsAgainstMpmath:
     @pytest.mark.parametrize("theta", EVAL_THETAS + [10.0, 30.0] + BELOW_FLOOR)
     def test_generator_and_inverse(self, theta):
         p = FrankParameter(theta)
-        dps = _dps(theta)
+        dps = frank_dps(theta)
         psi = np.array([frank_generator_mp(theta, s, dps) for s in PSI_ARGS])
         got = frank_generator(p, np.array(PSI_ARGS))
         assert np.max(np.abs(got - psi) / psi) <= 1e-13
@@ -197,7 +197,7 @@ class TestEvaluatorsAgainstMpmath:
     @pytest.mark.parametrize("theta", [1e-300, -1e-300, 1e-200, -1e-200] + BELOW_FLOOR)
     def test_generator_inverse_below_normal_range(self, theta):
         s = np.exp(-np.random.default_rng(13).uniform(0.0, 690.0, 200))
-        dps = _dps(theta)
+        dps = frank_dps(theta)
         inv = np.array([frank_generator_inverse_mp(theta, x, dps) for x in s])
         got = frank_generator_inverse(FrankParameter(theta), s)
         assert np.max(np.abs(got - inv) / inv) <= 1e-13

@@ -5,7 +5,6 @@ from frankmick import (
     CheckerboardDensity,
     FrankParameter,
     concordance_potential,
-    frank_F_identity,
     frank_cdf,
     frank_checkerboard,
     frank_density,
@@ -209,32 +208,3 @@ class TestLiouvilleResidual:
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError):
             liouville_residual(lambda u, v: np.ones_like(u), 0.0, 4)
-
-
-class TestFrankFIdentity:
-    # near independence plain differences of exponentials cancelled: a gap
-    # of 2.9e-4 at theta = 1e-6, and a log of 0 (a RuntimeWarning, which the
-    # suite turns into an error) at 1e-300
-    @pytest.mark.parametrize(
-        "theta",
-        [3.0, -3.0, 2.0, -2.0, 1e-300, -1e-300, 1e-6, -1e-6, 1e-3, 0.1, 50.0, -50.0,
-         300.0, -300.0, 5e-324, -5e-324],
-    )
-    def test_identity_holds(self, theta):
-        assert frank_F_identity(FrankParameter(theta), 50) <= 1e-15
-
-    def test_corner_values(self):
-        # F(0,0) = 1 and F(1,1) = e^{-theta}, exactly
-        t = 2.0
-
-        def F(u, v):
-            return (
-                np.exp(-t) - np.exp(-t * v) - np.exp(-t * u) + np.exp(-t * (u + v))
-            ) / np.expm1(-t)
-
-        assert abs(F(0.0, 0.0) - 1.0) <= 1e-15
-        assert abs(F(1.0, 1.0) - np.exp(-t)) <= 1e-15
-
-    def test_small_grid_rejected(self):
-        with pytest.raises(ValueError):
-            frank_F_identity(FrankParameter(3.0), 1)

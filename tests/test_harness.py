@@ -83,6 +83,11 @@ class TestConvergenceSweep:
         with pytest.raises(ValueError):
             convergence_sweep(0.3, [8, 4], SolverConfig(n=4, target_tau=0.3))
 
+    def test_rejects_repeated_grids(self):
+        # a repeated size was solved twice and written as two equal rows
+        with pytest.raises(ValueError, match="strictly ascending"):
+            convergence_sweep(0.3, [4, 4], SolverConfig(n=4, target_tau=0.3))
+
     def test_failures_flagged_not_raised(self):
         # tau beyond the coarse grid's reach fails there but not at n=16
         tau = 0.82

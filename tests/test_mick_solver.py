@@ -27,6 +27,7 @@ from frankmick import copula_core, mick_solver
 from frankmick.copula_core import MARGINAL_TOL, THETA_SUPPORT
 from frankmick.errors import (
     DivergenceDetected,
+    GridMismatch,
     NoConvergence,
     NotConverged,
     TauInfeasible,
@@ -111,6 +112,13 @@ class TestInnerFixedPoint:
         start = CheckerboardDensity(2, np.array([[0.5, 0.0], [0.0, 0.5]]))
         with pytest.raises(DivergenceDetected):
             inner_fixed_point(start, 0.5, SolverConfig(n=2, target_tau=0.3))
+
+    def test_start_on_another_grid_is_a_mismatch(self):
+        # a 4 x 4 start under n = 8 came back as a 4 x 4 report
+        with pytest.raises(GridMismatch):
+            inner_fixed_point(
+                uniform_checkerboard(4), 0.5, SolverConfig(n=8, target_tau=0.3)
+            )
 
     def test_zero_multiplier_gives_uniform(self):
         cfg = SolverConfig(n=6, target_tau=0.3)

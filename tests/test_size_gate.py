@@ -15,7 +15,6 @@ from frankmick import (
     SolverReport,
     frank_checkerboard,
     frank_density,
-    frank_F_identity,
     frank_sample,
     liouville_residual,
     sinkhorn_project,
@@ -64,7 +63,6 @@ ENTRIES = {
     "GridFunction": (lambda k: GridFunction(k, cells(k, extra=1)), "n", 1),
     "tau_max_for_grid": (tau_max_for_grid, "n", 1),
     "liouville_residual": (lambda k: liouville_residual(density, 6.0, k), "n", 8),
-    "frank_F_identity": (lambda k: frank_F_identity(P, k), "n", 2),
     "frank_sample": (lambda k: frank_sample(P, k, 1), "count", 1),
 }
 
