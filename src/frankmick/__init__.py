@@ -3,7 +3,6 @@
 from .copula_core import (
     CheckerboardDensity,
     FrankParameter,
-    GridFunction,
     checkerboard_cdf_eval,
     debye_d1,
     frank_cdf,
@@ -42,7 +41,6 @@ from . import errors
 __all__ = [
     "CheckerboardDensity",
     "FrankParameter",
-    "GridFunction",
     "SolverConfig",
     "SolverReport",
     "SolverState",

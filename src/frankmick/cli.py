@@ -19,20 +19,30 @@ import numpy as np
 
 from . import copula_core as cc
 from . import concordance as conc
-from .errors import FrankMickError
+from .errors import FrankMickError, _require_size
 from .harness import convergence_sweep, compare_to_frank, sweep_to_csv, sweep_to_svg
 from .mick_solver import SolverConfig, SolverReport, solve_mick
 
 
+def _at_least(least):
+    """argparse type: an integer >= least, checked by errors._require_size,
+    whose ValueError becomes a usage error (exit 2) naming the option."""
+    def size(text):
+        try:
+            return _require_size(int(text), "value", least)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    size.least = least
+    return size
+
+
 def _grid_sizes(text: str) -> list[int]:
-    """--grids: comma-separated positive integers in strictly ascending order."""
-    try:
-        grids = [int(tok) for tok in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}")
-    if min(grids) < 1 or grids != sorted(set(grids)):
+    """--grids: comma-separated grid sizes in strictly ascending order."""
+    grids = [_at_least(1)(tok) for tok in text.split(",")]
+    if grids != sorted(set(grids)):
         raise argparse.ArgumentTypeError(
-            f"grid sizes must be positive and strictly ascending: {text!r}"
+            f"grid sizes must be strictly ascending: {text!r}"
         )
     return grids
 
@@ -60,13 +70,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = fsub.add_parser("checkerboard", help="write the n x n checkerboard")
     p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("--out", required=True)
 
     p = fsub.add_parser("sample", help="draw pairs by conditional inversion")
     p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--count", type=_at_least(1), required=True)
+    p.add_argument("--seed", type=_at_least(0), required=True)
     p.add_argument("--out", required=True)
 
     mick = groups.add_parser("mick", help="minimum-information copula solver")
@@ -74,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = msub.add_parser("solve", help="solve for a target tau")
     p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("--tol-tau", type=float, default=SolverConfig.tol_tau)
     p.add_argument("--tol-fix", type=float, default=SolverConfig.tol_fix)
     p.add_argument("--out", required=True)
@@ -94,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = vsub.add_parser("liouville", help="local-dependence PDE residual order")
     p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_at_least(conc.LIOUVILLE_MIN_N), required=True)
 
     return top
 
@@ -165,8 +175,8 @@ def _run(args) -> int:
 
             coarse = conc.liouville_residual(density, 2 * args.theta, args.n)
             fine = conc.liouville_residual(density, 2 * args.theta, 2 * args.n)
-            s1 = float(np.max(np.abs(coarse.values)))
-            s2 = float(np.max(np.abs(fine.values)))
+            s1 = float(np.max(np.abs(coarse)))
+            s2 = float(np.max(np.abs(fine)))
             print(
                 f"sup_residual n={args.n}: {s1:.6e}  n={2 * args.n}: {s2:.6e}  "
                 f"ratio: {s1 / s2:.3f}"

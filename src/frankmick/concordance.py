@@ -7,9 +7,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .copula_core import CheckerboardDensity, GridFunction
+from .copula_core import CheckerboardDensity
 from .errors import NonPositiveDensity, _require_size
 
+
+#: the smallest n that liouville_residual and ``verify liouville`` accept
+LIOUVILLE_MIN_N = 8
 
 #: from this many rows on, the running sum down the columns adds row by
 #: row: numpy's axis-0 cumsum walks each column with a stride of one row,
@@ -78,31 +81,25 @@ def kendall_tau_checkerboard(c: CheckerboardDensity) -> float:
     return float(S.sum())
 
 
-def liouville_residual(density_eval, constant: float, n: int) -> GridFunction:
-    """Residual of d2/dudv log c - constant * c at interior grid nodes.
+def liouville_residual(density_eval, constant: float, n: int) -> np.ndarray:
+    """Residual of d2/dudv log c - constant * c, by the 4-point mixed stencil
+    with step h = 1/n, as an (n+1) x (n+1) array over the nodes (i/n, j/n)
+    that is 0 on the boundary; a non-finite residual raises ValueError.
 
-    ``density_eval(u, v)`` must accept broadcasting numpy arrays and be
-    strictly positive wherever the 4-point mixed stencil (step h = 1/n)
-    touches.  Boundary nodes of the returned grid are set to 0.
+    ``density_eval(u, v)`` is called once, on broadcasting numpy arrays of
+    the nodes, and must be strictly positive at every node.
     """
-    _require_size(n, "n", least=8)
+    n = _require_size(n, "n", least=LIOUVILLE_MIN_N)
     h = 1.0 / n
-    nodes = np.arange(1, n) / n
-    u = nodes[:, None]
-    v = nodes[None, :]
-    stencil = [
-        density_eval(u + h, v + h),
-        density_eval(u + h, v - h),
-        density_eval(u - h, v + h),
-        density_eval(u - h, v - h),
-    ]
-    for s in stencil:
-        if np.any(np.asarray(s) <= 0.0):
-            raise NonPositiveDensity("density must be positive on the stencil")
-    mixed = (
-        np.log(stencil[0]) - np.log(stencil[1])
-        - np.log(stencil[2]) + np.log(stencil[3])
-    ) / (4.0 * h * h)
+    nodes = np.arange(n + 1) / n
+    c = np.broadcast_to(density_eval(nodes[:, None], nodes[None, :]), (n + 1, n + 1))
+    if np.any(c <= 0.0):
+        raise NonPositiveDensity("density must be positive at every node")
+    L = np.log(c)
     resid = np.zeros((n + 1, n + 1))
-    resid[1:n, 1:n] = mixed - constant * density_eval(u, v)
-    return GridFunction(n, resid)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN
+        mixed = (L[2:, 2:] - L[2:, :-2] - L[:-2, 2:] + L[:-2, :-2]) / (4.0 * h * h)
+        resid[1:n, 1:n] = mixed - constant * c[1:n, 1:n]
+    if not np.all(np.isfinite(resid)):
+        raise ValueError("residual values must be finite")
+    return resid

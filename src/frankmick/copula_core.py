@@ -169,25 +169,6 @@ def uniform_checkerboard(n: int) -> CheckerboardDensity:
     return CheckerboardDensity(n, np.full((n, n), 1.0 / (n * n)))
 
 
-@dataclass(frozen=True)
-class GridFunction:
-    """Values of a bivariate function sampled at the (n+1)^2 nodes (i/n, j/n)."""
-
-    n: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", _require_size(self.n, "n"))
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.n + 1, self.n + 1):
-            raise ValueError(
-                f"values must be {(self.n + 1, self.n + 1)}, got {v.shape}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("grid values must be finite")
-        object.__setattr__(self, "values", v)
-
-
 # -- closed-form family ----------------------------------------------------
 
 

@@ -397,19 +397,15 @@ def _transport(p: CheckerboardDensity, new, D, s, D_prev, tol):
     the last evaluation carried to the multiplier of the _frank_board new,
     with their departure from the boards extrapolated along the secant
     (README's notes on the solver).  D = log p - log F is p's departure
-    from its own board F, and D_prev that of the evaluation before; s = 0
-    is the plain transport p * new / F.  The log-kernel's maximum is taken
-    off before exp.  A corrected kernel with a zero or non-finite cell falls
-    back to the plain one, and a plain one with a zero cell to p itself (the
-    clipped boards' cells are normal floats, so their logs are finite)."""
-    log_plain = np.log(new.masses) + D
-    with np.errstate(over="ignore", invalid="ignore"):
-        corrected = [log_plain + s * (D - D_prev)] if s else []
-    for log_k in corrected + [log_plain]:
-        with np.errstate(invalid="ignore"):  # inf - inf leaves a NaN cell
-            kernel = np.exp(log_k - log_k.max())
-        if kernel.min() > 0.0:  # False when a cell is NaN
-            return CheckerboardDensity(p.n, _sinkhorn(kernel, tol))
+    from its own board F, and D_prev that of the evaluation before (0.0
+    before there is one); s = 0 is the plain transport p * new / F.  The
+    log-kernel's maximum is taken off before exp.  A kernel with a zero or
+    non-finite cell starts from p."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN
+        log_k = np.log(new.masses) + D + s * (D - D_prev)
+        kernel = np.exp(log_k - log_k.max())
+    if kernel.min() > 0.0:  # False when a cell is NaN
+        return CheckerboardDensity(p.n, _sinkhorn(kernel, tol))
     return p
 
 
@@ -442,6 +438,7 @@ def solve_mick(cfg: SolverConfig) -> SolverReport:
     their departure D = log p - log F(4 lambda) from the Frank board is
     extrapolated too, along the secant through the last two evaluations'
     departures; each evaluation's D is formed once and the last two kept.
+    A kernel with a zero or non-finite cell starts from p.
 
     Returns the first evaluation within cfg.tol_tau of the target, which
     therefore never stopped early, with the search's total outer and inner
@@ -467,7 +464,7 @@ def solve_mick(cfg: SolverConfig) -> SolverReport:
         lam = cfg.multiplier_init
     board = _frank_board(lam, cfg.n)  # F(4 lambda) of the last evaluation
     start = board if cfg.multiplier_init == "auto" else uniform_checkerboard(cfg.n)
-    D = None  # departure log p - log F(4 lambda) of the last evaluation
+    D = 0.0  # departure log p - log F(4 lambda) of the last evaluation
 
     reports = []  # one per evaluation
     # first slope dtau/dlambda: the Frank bridge's, tau'(theta) at theta = 4 lambda

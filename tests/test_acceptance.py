@@ -65,8 +65,8 @@ def test_criterion_2_liouville_residual_order():
         def density(u, v):
             return frank_density(p, u, v)
 
-        sup64 = float(np.max(np.abs(liouville_residual(density, 2 * theta, 64).values)))
-        sup128 = float(np.max(np.abs(liouville_residual(density, 2 * theta, 128).values)))
+        sup64 = float(np.max(np.abs(liouville_residual(density, 2 * theta, 64))))
+        sup128 = float(np.max(np.abs(liouville_residual(density, 2 * theta, 128))))
         ok = ok and sup128 <= sup64 / 3.0
         details.append(f"theta={theta}: {sup64:.2e} -> {sup128:.2e}")
     elapsed = time.perf_counter() - t0

@@ -22,7 +22,6 @@ def test_all():
     assert frankmick.__all__ == [
         "CheckerboardDensity",
         "FrankParameter",
-        "GridFunction",
         "SolverConfig",
         "SolverReport",
         "SolverState",

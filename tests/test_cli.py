@@ -10,6 +10,7 @@ import pytest
 
 from frankmick import CheckerboardDensity, FrankParameter, SolverConfig, frank_sample
 from frankmick.cli import _build_parser, cli_main
+from frankmick.concordance import LIOUVILLE_MIN_N
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -292,6 +293,39 @@ def subcommands(parser):
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     ]
     return action.choices
+
+
+def size_options():
+    """(group, command, option, least) for each option gated as a size."""
+    for group, group_parser in subcommands(_build_parser()).items():
+        for command, parser in subcommands(group_parser).items():
+            for a in parser._actions:
+                if hasattr(a.type, "least"):
+                    yield group, command, a.option_strings[0], a.type.least
+
+
+def test_sizes_use_the_size_gate():
+    # a size option is typed by the gate, so the contract below covers it
+    # and with the least size the library accepts
+    gated = {(g, c, o): least for g, c, o, least in size_options()}
+    assert gated == {
+        ("frank", "checkerboard", "--n"): 1, ("frank", "sample", "--count"): 1,
+        ("frank", "sample", "--seed"): 0, ("mick", "solve", "--n"): 1,
+        ("verify", "liouville", "--n"): LIOUVILLE_MIN_N,
+    }
+    for group_parser in subcommands(_build_parser()).values():
+        for parser in subcommands(group_parser).values():
+            assert all(a.type is not int for a in parser._actions)
+
+
+@pytest.mark.parametrize("group, command, option, least", list(size_options()))
+def test_size_below_its_minimum_is_a_usage_error(capsys, group, command, option, least):
+    # the type check runs as the option is read, before required options
+    code, out, err = run(capsys, group, command, option, str(least - 1))
+    assert code == 2 and out == ""
+    assert f"argument {option}: value must be an integer >= {least}" in err
+    code, _, err = run(capsys, group, command, option, str(least))
+    assert f"argument {option}" not in err
 
 
 def test_every_option_is_in_readme():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -175,8 +177,8 @@ class TestLiouvilleResidual:
         def density(u, v):
             return frank_density(p, u, v)
 
-        sup64 = np.max(np.abs(liouville_residual(density, 6.0, 64).values))
-        sup128 = np.max(np.abs(liouville_residual(density, 6.0, 128).values))
+        sup64 = np.max(np.abs(liouville_residual(density, 6.0, 64)))
+        sup128 = np.max(np.abs(liouville_residual(density, 6.0, 128)))
         assert 3.0 <= sup64 / sup128 <= 5.0
 
     def test_independence_exact_zero(self):
@@ -184,7 +186,7 @@ class TestLiouvilleResidual:
             return np.ones(np.broadcast(u, v).shape)
 
         resid = liouville_residual(ones, 0.0, 16)
-        assert np.max(np.abs(resid.values)) == 0.0
+        assert np.max(np.abs(resid)) == 0.0
 
     def test_wrong_constant_detected(self):
         p = FrankParameter(3.0)
@@ -192,8 +194,8 @@ class TestLiouvilleResidual:
         def density(u, v):
             return frank_density(p, u, v)
 
-        sup64 = np.max(np.abs(liouville_residual(density, 7.0, 64).values))
-        sup128 = np.max(np.abs(liouville_residual(density, 7.0, 128).values))
+        sup64 = np.max(np.abs(liouville_residual(density, 7.0, 64)))
+        sup128 = np.max(np.abs(liouville_residual(density, 7.0, 128)))
         # misspecified proportionality: residual stays O(1) instead of O(h^2)
         assert sup64 > 0.5 and sup128 > 0.5
         assert sup64 / sup128 < 1.5
@@ -208,3 +210,44 @@ class TestLiouvilleResidual:
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError):
             liouville_residual(lambda u, v: np.ones_like(u), 0.0, 4)
+
+    def test_density_is_evaluated_once_on_the_node_grid(self):
+        p = FrankParameter(3.0)
+        calls = []
+
+        def density(u, v):
+            calls.append(np.broadcast(u, v).shape)
+            return frank_density(p, u, v)
+
+        resid = liouville_residual(density, 6.0, 16)
+        assert calls == [(17, 17)]
+        assert resid.shape == (17, 17)
+        assert not np.any(resid[[0, -1], :]) and not np.any(resid[:, [0, -1]])
+
+    @pytest.mark.parametrize("n", [9, 64])
+    def test_matches_the_stencil_from_scalar_calls(self, n):
+        p = FrankParameter(3.0)
+
+        def log_c(i, j):
+            return math.log(frank_density(p, i / n, j / n))
+
+        resid = liouville_residual(lambda u, v: frank_density(p, u, v), 6.0, n)
+        for i, j in [(1, 1), (1, n - 1), (n // 2, 3), (n - 1, n - 2)]:
+            mixed = (
+                log_c(i + 1, j + 1) - log_c(i + 1, j - 1)
+                - log_c(i - 1, j + 1) + log_c(i - 1, j - 1)
+            ) * n * n / 4.0
+            want = mixed - 6.0 * frank_density(p, i / n, j / n)
+            assert resid[i, j] == pytest.approx(want, rel=1e-12, abs=1e-11)
+
+    @pytest.mark.parametrize(
+        "value, constant",
+        [(np.nan, 0.0), (np.inf, 0.0), (1.0, np.inf), (1.0, -np.inf)],
+        ids=["nan-density", "inf-density", "inf-constant", "minus-inf-constant"],
+    )
+    def test_nonfinite_residual_raises(self, value, constant):
+        def density(u, v):
+            return np.where((u == 0.5) & (v == 0.5), value, 1.0)
+
+        with pytest.raises(ValueError, match="finite"):
+            liouville_residual(density, constant, 16)

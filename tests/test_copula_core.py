@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from frankmick import (
     CheckerboardDensity,
     FrankParameter,
-    GridFunction,
     checkerboard_cdf_eval,
     debye_d1,
     frank_cdf,
@@ -516,14 +515,3 @@ class TestCheckerboardDensityType:
         again = CheckerboardDensity.from_csv(board.to_csv())
         assert np.array_equal(again.masses, board.masses)
 
-
-class TestGridFunction:
-    def test_rejects_nonfinite(self):
-        v = np.zeros((3, 3))
-        v[1, 1] = np.inf
-        with pytest.raises(ValueError):
-            GridFunction(2, v)
-
-    def test_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            GridFunction(2, np.zeros((2, 2)))

@@ -1184,7 +1184,7 @@ def transport(p, old, new, tol, s=0.0, p_prev=None, prev=None):
     """_transport of the masses p, found at the Frank board old, to the board
     new; with s, the departure of p_prev from its board prev gives the secant."""
     D = np.log(p.masses) - np.log(old.masses)
-    D_prev = None if p_prev is None else np.log(p_prev.masses) - np.log(prev.masses)
+    D_prev = 0.0 if p_prev is None else np.log(p_prev.masses) - np.log(prev.masses)
     return mick_solver._transport(p, new, D, s, D_prev, tol)
 
 
@@ -1376,9 +1376,7 @@ class TestSecantStart:
         D = np.log(p.masses) - np.log(old.masses)
         D_prev = D.copy()
         D_prev[3, 5] -= shift
-        moved = mick_solver._transport(p, new, D, 10.0, D_prev, MARGINAL_TOL)
-        plain = plain_transport(p, old, new, MARGINAL_TOL)
-        assert np.max(np.abs(moved.masses - plain)) <= 1e-16
+        assert mick_solver._transport(p, new, D, 10.0, D_prev, MARGINAL_TOL) is p
 
 
 SCAN_TAUS = (

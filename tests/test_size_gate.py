@@ -10,7 +10,6 @@ import pytest
 from frankmick import (
     CheckerboardDensity,
     FrankParameter,
-    GridFunction,
     SolverConfig,
     SolverReport,
     frank_checkerboard,
@@ -30,10 +29,10 @@ def is_size(k):
     return isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k >= 1
 
 
-def cells(k, extra=0):
-    """A uniform k x k mass array (k + extra on a side), or an empty array
-    where k is no size, so that only the size check can reject the call."""
-    side = k + extra if is_size(k) else 0
+def cells(k):
+    """A uniform k x k mass array, or an empty array where k is no size, so
+    that only the size check can reject the call."""
+    side = k if is_size(k) else 0
     return np.full((side, side), 1.0 / k**2 if is_size(k) else 0.0)
 
 
@@ -60,7 +59,6 @@ ENTRIES = {
     ),
     "CheckerboardDensity": (lambda k: CheckerboardDensity(k, cells(k)), "n", 1),
     "uniform_checkerboard": (uniform_checkerboard, "n", 1),
-    "GridFunction": (lambda k: GridFunction(k, cells(k, extra=1)), "n", 1),
     "tau_max_for_grid": (tau_max_for_grid, "n", 1),
     "liouville_residual": (lambda k: liouville_residual(density, 6.0, k), "n", 8),
     "frank_sample": (lambda k: frank_sample(P, k, 1), "count", 1),
