@@ -162,6 +162,7 @@ def _sinkhorn(K, tol):
     """
     n = K.shape[0]
     target = 1.0 / n
+    KT = K.T
     c = np.ones(n)
     Kc = K @ c
     budget = max(12.0, 0.5 * n)
@@ -169,12 +170,13 @@ def _sinkhorn(K, tol):
     newton = True  # until the one switch to the Newton finish
     for _ in range(_SINKHORN_CAP):
         r = target / Kc
-        c = target / (K.T @ r)
+        c = target / (KT @ r)
         Kc = K @ c
-        resid = np.abs(r * Kc - target).max()
+        e = r * Kc  # the row residual, formed in place
+        resid = np.maximum.reduce(np.abs(np.subtract(e, target, out=e), out=e))
         if resid <= tol:
             P, _, miss = _scaled(K, r, c)
-            if miss.max() <= tol:
+            if np.maximum.reduce(miss) <= tol:
                 return P
         if newton:
             ratio = resid / prev_resid
@@ -193,9 +195,13 @@ def _sinkhorn(K, tol):
 def _scaled(K, r, c):
     """P = D_r K D_c, its row sums then its column sums, and their misses
     |sums - 1/n|: the exit test of _sinkhorn and _newton_finish."""
-    P = r[:, None] * K * c[None, :]
-    sums = np.concatenate((P.sum(axis=1), P.sum(axis=0)))
-    return P, sums, np.abs(sums - 1.0 / K.shape[0])
+    n = K.shape[0]
+    P = r[:, None] * K
+    P *= c
+    sums = np.empty(2 * n)
+    np.add.reduce(P, axis=1, out=sums[:n])
+    np.add.reduce(P, axis=0, out=sums[n:])
+    return P, sums, np.abs(sums - 1.0 / n)
 
 
 def _newton_direction(P, sums):
@@ -214,11 +220,17 @@ def _newton_direction(P, sums):
     rho, dev_r = sums[:n], dev[:n]
     B = P[:, 1:]
     W = B / rho[:, None]
-    Sc = -(B.T @ W)
-    Sc.flat[::n] += sums[n + 1 :]
-    dy = np.linalg.solve(Sc, W.T @ dev_r - dev[n + 1 :])
-    dx = -(dev_r + B @ dy) / rho
-    return dx, np.concatenate(([0.0], dy))
+    Sc = B.T @ W
+    np.negative(Sc, out=Sc)
+    Sc.reshape(-1)[::n] += sums[n + 1 :]
+    rhs = W.T @ dev_r
+    rhs -= dev[n + 1 :]
+    dy = np.zeros(n)  # dy[0] = 0 is the gauge
+    dy[1:] = np.linalg.solve(Sc, rhs)
+    dx = -dev_r  # -dev_r - B dy is -(dev_r + B dy) to the bit
+    dx -= B @ dy[1:]
+    dx /= rho
+    return dx, dy
 
 
 def _newton_finish(K, r, c, tol):
@@ -234,22 +246,23 @@ def _newton_finish(K, r, c, tol):
     target = 1.0 / K.shape[0]
     P, sums, miss = _scaled(K, r, c)
     for _ in range(_NEWTON_STEPS):
-        if miss.max() <= tol:
+        if np.maximum.reduce(miss) <= tol:
             return P, c
         try:
             dx, dy = _newton_direction(P, sums)
             halvings = _NEWTON_STEPS
         except np.linalg.LinAlgError:
             halvings = 0  # no direction: the step is the sweep below
-        err, step = miss.sum(), 1.0
+        err = np.add.reduce(miss)
         for _ in range(halvings):
             # a trial that overflows has an inf or NaN error and is halved
             with np.errstate(over="ignore", invalid="ignore"):
-                r_t, c_t = r * np.exp(step * dx), c * np.exp(step * dy)
+                r_t, c_t = r * np.exp(dx), c * np.exp(dy)
                 P_t, sums_t, miss_t = _scaled(K, r_t, c_t)
-            if miss_t.sum() < err:
+            if np.add.reduce(miss_t) < err:
                 break
-            step *= 0.5
+            dx *= 0.5  # exact, so each trial is the full step times 2^-k
+            dy *= 0.5
         else:
             r_t = target / (K @ c)
             c_t = target / (K.T @ r_t)
@@ -263,8 +276,8 @@ def _center(M: np.ndarray) -> np.ndarray:
 
     This is also the residual of the least-squares fit M ~ const + a_i + b_j.
     """
-    M = M - M.mean(axis=1, keepdims=True)
-    M -= M.mean(axis=0)
+    M = M - np.add.reduce(M, axis=1, keepdims=True) / M.shape[1]  # as M.mean does
+    M -= np.add.reduce(M, axis=0) / M.shape[0]
     return M
 
 
@@ -336,19 +349,19 @@ def inner_fixed_point(
     for iterations in range(cfg.max_inner + 1):
         if iterations:
             warm = L + beta
-            kernel = np.exp(warm - warm.max())
-            if not kernel.min() > 0.0:
+            kernel = np.exp(warm - np.maximum.reduce(warm, axis=None))
+            if not np.minimum.reduce(kernel, axis=None) > 0.0:
                 raise DivergenceDetected(f"kernel underflowed at multiplier {lambda_d}")
             p = _sinkhorn(kernel, tol_p)
-            if p.min() <= 0.0:
+            if np.minimum.reduce(p, axis=None) <= 0.0:
                 raise DivergenceDetected("cell mass underflowed to zero")
             log_p = np.log(p)
             beta = log_p[0] - L[0]
         S = _potential_from_masses(p)
         M = log_p - 2.0 * lambda_d * S
         R = _center(M)
-        resid = float(np.abs(R).max())
-        tau = float(np.sum(p * S))
+        resid = float(np.maximum.reduce(np.abs(R), axis=None))
+        tau = float(np.add.reduce(p * S, axis=None))
         miss = abs(tau - cfg.target_tau)
         off_target = off_target_exit and miss > cfg.tol_tau
         if resid <= tol_in or off_target and resid <= _FORCING * miss:
@@ -356,15 +369,17 @@ def inner_fixed_point(
         F = -d * R
         G = L + F
         if G_prev is not None:
-            dG = np.vstack((dG, (G - G_prev).ravel()))[-_ANDERSON_MEMORY:]
-            dF = np.vstack((dF, (F - F_prev).ravel()))[-_ANDERSON_MEMORY:]
+            keep = max(0, len(dG) + 1 - _ANDERSON_MEMORY)  # the newest memory - 1 stay
+            dG = np.concatenate((dG[keep:], (G - G_prev).reshape(1, -1)))
+            dF = np.concatenate((dF[keep:], (F - F_prev).reshape(1, -1)))
         G_prev, F_prev = G, F
         L = _anderson_step(G, F, dG, dF)
+    grand = M.mean()
     state = SolverState(
         density=CheckerboardDensity(p.shape[0], p),
         multiplier=lambda_d,
-        row_potentials=M.mean(axis=1) - M.mean(),
-        col_potentials=M.mean(axis=0) - M.mean(),
+        row_potentials=M.mean(axis=1) - grand,
+        col_potentials=M.mean(axis=0) - grand,
     )
     return SolverReport(
         state=state,

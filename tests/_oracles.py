@@ -7,13 +7,15 @@ routines it checks.
 """
 
 import json
+import math
 from dataclasses import asdict
 
 import mpmath
 import numpy as np
 
 from frankmick.concordance import _potential_from_masses
-from frankmick.mick_solver import sinkhorn_project
+from frankmick.errors import NotConverged
+from frankmick.mick_solver import _NEWTON_STEPS, _SINKHORN_CAP, sinkhorn_project
 
 
 def brute_potential(m: np.ndarray) -> np.ndarray:
@@ -401,3 +403,84 @@ def spearman_mi_board(n, target_tau, tol=1e-10):
         else:
             hi = lam
     raise RuntimeError(f"bisection did not reach tau within {tol}")
+
+
+def reference_sinkhorn(K, tol):
+    """mick_solver._sinkhorn to tol in its plain form: its sweeps, switch
+    and Sinkhorn-Newton finish with one numpy expression per quantity and
+    each reduction through its array method.  The floating-point operations
+    and their order are the solver's, so the masses must match to the bit."""
+    n = K.shape[0]
+    target = 1.0 / n
+    c = np.ones(n)
+    Kc = K @ c
+    budget = max(12.0, 0.5 * n)
+    prev_resid = math.inf
+    newton = True
+    for _ in range(_SINKHORN_CAP):
+        r = target / Kc
+        c = target / (K.T @ r)
+        Kc = K @ c
+        resid = np.abs(r * Kc - target).max()
+        if resid <= tol:
+            P, _, miss = _reference_scaled(K, r, c)
+            if miss.max() <= tol:
+                return P
+        if newton:
+            ratio = resid / prev_resid
+            if ratio >= 1.0 or resid * ratio**budget > tol:
+                newton = False
+                P, c = _reference_newton_finish(K, r, c, tol)
+                if P is not None:
+                    return P
+                Kc = K @ c
+        prev_resid = resid
+    raise NotConverged(
+        f"Sinkhorn scaling did not reach {tol} in {_SINKHORN_CAP} sweeps"
+    )
+
+
+def _reference_scaled(K, r, c):
+    P = r[:, None] * K * c[None, :]
+    sums = np.concatenate((P.sum(axis=1), P.sum(axis=0)))
+    return P, sums, np.abs(sums - 1.0 / K.shape[0])
+
+
+def _reference_newton_direction(P, sums):
+    n = P.shape[0]
+    dev = sums - 1.0 / n
+    rho, dev_r = sums[:n], dev[:n]
+    B = P[:, 1:]
+    W = B / rho[:, None]
+    Sc = -(B.T @ W)
+    Sc.flat[::n] += sums[n + 1 :]
+    dy = np.linalg.solve(Sc, W.T @ dev_r - dev[n + 1 :])
+    dx = -(dev_r + B @ dy) / rho
+    return dx, np.concatenate(([0.0], dy))
+
+
+def _reference_newton_finish(K, r, c, tol):
+    target = 1.0 / K.shape[0]
+    P, sums, miss = _reference_scaled(K, r, c)
+    for _ in range(_NEWTON_STEPS):
+        if miss.max() <= tol:
+            return P, c
+        try:
+            dx, dy = _reference_newton_direction(P, sums)
+            halvings = _NEWTON_STEPS
+        except np.linalg.LinAlgError:
+            halvings = 0
+        err, step = miss.sum(), 1.0
+        for _ in range(halvings):
+            with np.errstate(over="ignore", invalid="ignore"):
+                r_t, c_t = r * np.exp(step * dx), c * np.exp(step * dy)
+                P_t, sums_t, miss_t = _reference_scaled(K, r_t, c_t)
+            if miss_t.sum() < err:
+                break
+            step *= 0.5
+        else:
+            r_t = target / (K @ c)
+            c_t = target / (K.T @ r_t)
+            P_t, sums_t, miss_t = _reference_scaled(K, r_t, c_t)
+        r, c, P, sums, miss = r_t, c_t, P_t, sums_t, miss_t
+    return None, c

@@ -45,6 +45,7 @@ from _oracles import (
     reference_board_csv,
     reference_board_json,
     reference_report_json,
+    reference_sinkhorn,
     sinkhorn_sweeps,
 )
 
@@ -927,6 +928,38 @@ class TestNewtonFinish:
         assert np.array_equal(P, self.sweeps_only(K))
 
 
+class TestProjectionBits:
+    """_sinkhorn's masses match those of the projection as first written
+    (reference_sinkhorn) to the bit: its sweeps, its switch and every
+    step of its Newton finish keep their floating-point operations."""
+
+    def test_random_kernels(self, monkeypatch):
+        # 48 exp(sigma Z), sigma spread over [0.5, 3] and n cycling through
+        # 32, 64 and 128, like the benchmark's direct calls
+        calls = record_calls(monkeypatch, "_newton_finish")
+        rng = np.random.default_rng(0)
+        for n, sigma in zip((32, 64, 128) * 16, np.linspace(0.5, 3.0, 48)):
+            K = np.exp(sigma * rng.standard_normal((n, n)))
+            got = mick_solver._sinkhorn(K, MARGINAL_TOL)
+            assert np.array_equal(got, reference_sinkhorn(K, MARGINAL_TOL))
+        assert calls  # the set reaches the Newton finish
+
+    def test_high_tau_kernels(self):
+        # every kernel the two solves project, each at its own tolerance
+        _, calls = high_tau_projection_calls()
+        for (K, tol), got in calls["_sinkhorn"]:
+            assert np.array_equal(got, reference_sinkhorn(K, tol))
+
+    def test_hand_back_kernel(self, monkeypatch):
+        # test_real_stall_resumes_the_sweeps's kernel: the sweeps resume
+        # from the finish's column scaling
+        calls = record_calls(monkeypatch, "_newton_finish")
+        K = np.exp(60 * np.random.default_rng(26).normal(size=(4, 4)))
+        got = mick_solver._sinkhorn(K, MARGINAL_TOL)
+        assert calls[0][1][0] is None
+        assert np.array_equal(got, reference_sinkhorn(K, MARGINAL_TOL))
+
+
 class TestInnerStepWork:
     def test_one_projection_per_step(self, monkeypatch):
         calls = record_calls(monkeypatch, "_sinkhorn")
@@ -949,6 +982,18 @@ class TestInnerStepWork:
             uniform_checkerboard(8), 1.0, SolverConfig(n=8, target_tau=0.3)
         )
         assert len(calls) == report.inner_iterations_total + 1
+
+    @pytest.mark.parametrize("memory", [1, 3, 5])
+    def test_anderson_keeps_the_last_pairs(self, monkeypatch, memory):
+        # iterate k > 0 steps with its last min(k, memory) difference pairs
+        monkeypatch.setattr(mick_solver, "_ANDERSON_MEMORY", memory)
+        calls = record_calls(monkeypatch, "_anderson_step")
+        inner_fixed_point(
+            uniform_checkerboard(8), 1.0, SolverConfig(n=8, target_tau=0.3)
+        )
+        rows = [len(args[2]) for args, _ in calls]
+        assert len(rows) > memory + 1
+        assert rows == [min(k, memory) for k in range(len(rows))]
 
     def test_kernel_underflow_is_typed(self):
         with pytest.raises(DivergenceDetected):
@@ -973,6 +1018,21 @@ def high_tau_solve(n, tau, tol_tau=1e-6):
         calls = record_calls(m, "inner_fixed_point")
         report = solve_mick(SolverConfig(n=n, target_tau=tau, tol_tau=tol_tau))
     return report, len(calls)
+
+
+@lru_cache(maxsize=None)
+def high_tau_projection_calls():
+    """The default-config reports at (16, 0.9) and (32, 0.95), the points of
+    the benchmark's solve_high_tau, and the calls each of the projection's
+    layers received, by name."""
+    names = ("_sinkhorn", "_newton_finish", "_newton_direction")
+    with pytest.MonkeyPatch.context() as m:
+        calls = {name: record_calls(m, name) for name in names}
+        reports = [
+            solve_mick(SolverConfig(n=n, target_tau=tau))
+            for n, tau in ((16, 0.9), (32, 0.95))
+        ]
+    return reports, calls
 
 
 class TestHighTau:
@@ -1006,6 +1066,18 @@ class TestHighTau:
         # 41 (20 + 21); 55 (29 + 26) from the plain transport
         reports = [high_tau_solve(n, tau)[0] for n, tau in self.REFERENCE]
         assert sum(r.inner_iterations_total for r in reports) <= 41
+
+    def test_work_at_the_benchmark_points(self):
+        # a change to the projection's arithmetic alone leaves all of these;
+        # 48 projections are 41 inner steps and 7 transported starts
+        reports, calls = high_tau_projection_calls()
+        work = [(r.outer_iterations, r.inner_iterations_total) for r in reports]
+        assert work == [(5, 20), (4, 21)]
+        assert {name: len(c) for name, c in calls.items()} == {
+            "_sinkhorn": 48,
+            "_newton_finish": 46,
+            "_newton_direction": 77,
+        }
 
 
 @lru_cache(maxsize=None)
