@@ -114,8 +114,19 @@ class SolverReport:
         obj = json.loads(text)
         state_keys = ("density", "multiplier", "row_potentials", "col_potentials")
         _require_fields(obj, state_keys + _SCALAR_FIELDS, "report")
+        density = CheckerboardDensity._from_record(obj["density"])
+        for name in ("multiplier",) + _SCALAR_FIELDS:  # bool is no number here
+            what = "bool" if name == "converged" else "number"
+            if type(obj[name]) not in {"bool": (bool,), "number": (int, float)}[what]:
+                raise ValueError(f"report field {name!r} is not a {what}")
+        for name in state_keys[2:]:
+            v = obj[name]
+            if type(v) is not list or len(v) != density.n or not all(
+                type(x) in (int, float) for x in v
+            ):
+                raise ValueError(f"report field {name!r} is not {density.n} numbers")
         state = SolverState(
-            density=CheckerboardDensity._from_record(obj["density"]),
+            density=density,
             multiplier=obj["multiplier"],
             row_potentials=np.array(obj["row_potentials"]),
             col_potentials=np.array(obj["col_potentials"]),
@@ -324,9 +335,10 @@ def inner_fixed_point(
     projected iterate: solve_mick's starts are exact boards or projected to
     tol_p.  With off_target_exit it also stops at the first iterate whose
     tau misses the target, miss = |tau - cfg.target_tau| > cfg.tol_tau,
-    while max|R| <= _FORCING * miss.  Raises GridMismatch for a start whose
-    grid is not cfg.n, and DivergenceDetected for a start with a zero cell,
-    or when a kernel or a projected cell underflows.
+    while max|R| <= _FORCING * miss.  Raises ValueError for a non-finite
+    lambda_d, GridMismatch for a start whose grid is not cfg.n, and
+    DivergenceDetected for a start with a zero cell, or when a kernel or a
+    projected cell underflows.
 
     Returns the SolverReport of the last iterate: its masses, validated
     once, with the row and column means of log p - 2 lambda_d S(p), less
@@ -334,6 +346,8 @@ def inner_fixed_point(
     and the projection count; converged judged against cfg, so an
     evaluation that took the off-target exit is never converged.
     """
+    if not math.isfinite(lambda_d):
+        raise ValueError(f"lambda_d must be finite, not {lambda_d!r}")
     if start.n != cfg.n:
         raise GridMismatch(f"start is {start.n} x {start.n}, cfg.n is {cfg.n}")
     p = start.masses
