@@ -1131,6 +1131,23 @@ class TestBeyondCheckerboardSupport:
         assert math.isfinite(report.implied_theta)
         assert report.implied_theta > THETA_SUPPORT
 
+    # 36, 39 and 34 projections from the uniform board, untransported
+    @pytest.mark.parametrize(
+        "n, tau, cap", [(128, 0.99, 32), (96, 0.988, 37), (64, 0.98, 31)]
+    )
+    def test_projections_capped(self, n, tau, cap):
+        report, _, _ = counted_solve(SolverConfig(n=n, target_tau=tau))
+        assert report.inner_iterations_total <= cap
+
+    # 32, 37, 31 and 29 from the plain transport
+    @pytest.mark.parametrize(
+        "n, tau, cap", [(128, 0.99, 22), (96, 0.988, 24), (64, 0.98, 21), (256, 0.99, 23)]
+    )
+    def test_projections_from_the_secant_start(self, n, tau, cap):
+        report, _, _ = counted_solve(SolverConfig(n=n, target_tau=tau))
+        assert report.converged
+        assert report.inner_iterations_total <= cap
+
     def test_newton_finish_runs_at_n128(self):
         _, _, sizes = counted_solve(SolverConfig(n=128, target_tau=0.99))
         assert sizes and set(sizes) == {128}
@@ -1243,6 +1260,13 @@ class TestFrankStart:
             m, lam = report.state.density.masses, report.state.multiplier
             assert discrete_liouville_residual(m, lam) <= 4 * tol_fix
 
+    # 219 and 386 from the uniform board with every projection stopped at
+    # MARGINAL_TOL
+    @pytest.mark.parametrize("n, tau, cap", [(32, 0.95, 120), (128, 0.93, 80)])
+    def test_inner_steps_capped(self, n, tau, cap):
+        frank, _ = start_pair(n, tau)
+        assert frank.inner_iterations_total <= cap
+
     def test_liouville_oracle(self):
         # the mixed second difference of S is the 2x2 block sum of masses
         m = np.random.default_rng(23).random((7, 7))
@@ -1291,6 +1315,12 @@ class TestTransportedStart:
             assert report.converged
             cfg = SolverConfig(n=n, target_tau=tau, tol_fix=1e-10)
             self.assert_same_fixed_point(report, cfg)
+
+    def test_high_tau_inner_steps(self):
+        # the Frank start projects less than the uniform start at the same
+        # first multiplier
+        frank, uniform = start_pair(128, 0.93)
+        assert frank.inner_iterations_total < uniform.inner_iterations_total
 
     @pytest.mark.parametrize("init", ["auto", 0.5])
     def test_one_frank_board_per_evaluation(self, monkeypatch, init):
